@@ -9,6 +9,7 @@ lexicographic and therefore reproducible.
 """
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -113,6 +114,11 @@ class ConfigurationSpace:
             writer.writerow(["index"] + [f"x{a+1}" for a in range(self.n)] + ["pi"])
             for ix, x in enumerate(self.configs):
                 writer.writerow([ix] + list(x) + [int(self.pi[ix])])
+
+    @functools.cached_property
+    def _stencil(self):
+        """The generator's off-diagonal pattern, built on first assembly."""
+        return _build_stencil(self)
 
 
 def _even_part_multisets(n):
@@ -270,6 +276,69 @@ class WeightedOperator:
                 fh.write(f"{int(r)} {int(c)} {float(v)!r}\n")
 
 
+@dataclass(frozen=True)
+class _Stencil:
+    """Every off-diagonal entry of B(C) on one space: moves first, then exchanges.
+
+    Entry k sits at (row[k], col[k]) and has the value c_ij * num[k] / den[k],
+    where site[k] = i * N + j; the full generator negates the exchanges.  A
+    move is stored once for both orderings of its label pair, with
+    num / den = 2 (n_j+1) / (n_i-1); an exchange has num / den = 2 / 1.
+    Keeping the weight as a fraction makes c_ij * num / den round exactly as
+    the per-ordering sum 2 * (c_ij (n_j+1) / (n_i-1)) does.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    site: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+    moves: int
+
+    def part(self, name):
+        """Slice of the entries that make up one generator part."""
+        if name == "move-only":
+            return slice(None, self.moves)
+        if name == "exchange-only":
+            return slice(self.moves, None)
+        return slice(None)
+
+
+def _build_stencil(space):
+    """Locate every move and exchange target through a mixed-radix code.
+
+    The enumeration is lexicographic, so the codes x_1 N^{n-1} + ... + x_n of
+    the configurations are sorted and a target's index is a binary search.
+    """
+    N, n = space.N, space.n
+    X = np.array(space.configs, dtype=np.int64)
+    radix = N ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = X @ radix
+    sites = np.arange(N)
+    moves, swaps = [], []
+    for a, b in itertools.combinations(range(n), 2):
+        # Move: labels a and b share site i and relocate together to j != i.
+        rows = np.repeat(np.flatnonzero(X[:, a] == X[:, b]), N)
+        j = np.tile(sites, rows.size // N)
+        i = X[rows, a]
+        keep = i != j
+        rows, i, j = rows[keep], i[keep], j[keep]
+        moves.append((rows, codes[rows] + (j - i) * (radix[a] + radix[b]), i, j,
+                      2.0 * (space.occ[rows, j] + 1.0), space.occ[rows, i] - 1.0))
+        # Exchange: labels a and b on different sites trade places.
+        rows = np.flatnonzero(X[:, a] != X[:, b])
+        xa, xb = X[rows, a], X[rows, b]
+        swaps.append((rows, codes[rows] + (xb - xa) * (radix[a] - radix[b]),
+                      np.minimum(xa, xb), np.maximum(xa, xb),
+                      np.full(rows.size, 2.0), np.ones(rows.size)))
+    row, code, i, j, num, den = (np.concatenate(parts) for parts in zip(*moves, *swaps))
+    col = np.searchsorted(codes, code)
+    if not np.array_equal(codes[np.minimum(col, codes.size - 1)], code):
+        raise AssertionError("a jump target is missing from the enumeration")
+    return _Stencil(row=row, col=col, site=i * N + j, num=num, den=den,
+                    moves=sum(m[0].size for m in moves))
+
+
 def _validate_coeffs(space, coeffs):
     C = np.asarray(coeffs, dtype=float)
     if C.shape != (space.N, space.N):
@@ -290,55 +359,34 @@ def assemble_generator(space, coeffs, part="full"):
     move-only:      pair relocation with occupancy weights (n_j+1)/(n_i-1)
     exchange-only:  partner swap with weight 2
     All three have zero row sums and are self-adjoint for the measure pi.
+
+    B(C) is linear in C on a sparsity pattern fixed by the space, so the
+    off-diagonal entries are the space's cached stencil reweighted by
+    c_ij, and the diagonal is minus the row sums.
     """
     if part not in ("full", "move-only", "exchange-only"):
         raise ValueError(f"unknown part {part!r}")
     C = _validate_coeffs(space, coeffs)
-    n, N = space.n, space.N
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    active_cols = {i: np.flatnonzero(C[i]) for i in range(N) if C[i].any()}
-    for ix, x in enumerate(space.configs):
-        occ = space.occ[ix]
-        if part in ("full", "move-only"):
-            site_labels = {}
-            for a, site in enumerate(x):
-                site_labels.setdefault(site, []).append(a)
-            for i, labs in site_labels.items():
-                if len(labs) < 2 or i not in active_cols:
-                    continue
-                for j in active_cols[i]:
-                    w = C[i, j] * (occ[j] + 1.0) / (occ[i] - 1.0)
-                    for a, b in itertools.permutations(labs, 2):
-                        y = list(x)
-                        y[a] = j
-                        y[b] = j
-                        iy = space.index[tuple(y)]
-                        add(ix, iy, w)
-                        add(ix, ix, -w)
-        if part in ("full", "exchange-only"):
-            sign = -1.0 if part == "full" else 1.0
-            for a in range(n):
-                for b in range(n):
-                    if a == b or not x[a] < x[b]:
-                        continue
-                    c = C[x[a], x[b]]
-                    if c == 0.0:
-                        continue
-                    y = list(x)
-                    y[a], y[b] = x[b], x[a]
-                    iy = space.index[tuple(y)]
-                    add(ix, iy, sign * 2.0 * c)
-                    add(ix, ix, -sign * 2.0 * c)
-
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(space.size, space.size)).tocsr()
+    st = space._stencil
+    sel = st.part(part)
+    vals = np.take(C, st.site[sel]) * st.num[sel] / st.den[sel]
+    if part == "full":
+        vals[st.moves:] *= -1.0
+    row, col = st.row[sel], st.col[sel]
+    # Adding to or subtracting from 0.0 turns -0.0 (a negated zero
+    # coefficient, or an empty row) into 0.0, the value an absent entry reads.
+    vals += 0.0
+    diag = 0.0 - np.bincount(row, weights=vals, minlength=space.size)
+    d = np.arange(space.size)
     if space.size <= DENSE_CUTOFF:
-        mat = mat.toarray()
+        mat = np.zeros((space.size, space.size))
+        mat[row, col] = vals
+        mat[d, d] = diag
+    else:
+        mat = sp.csr_matrix((np.concatenate([vals, diag]),
+                             (np.concatenate([row, d]), np.concatenate([col, d]))),
+                            shape=(space.size, space.size))
+        mat.eliminate_zeros()
     return WeightedOperator(space, mat, is_generator=True, is_pi_self_adjoint=True)
 
 
@@ -418,7 +466,7 @@ def delta_pairing(space, op, x, y):
     return A[space.idx(x), space.idx(y)] / space.pi[space.idx(y)]
 
 
-def haar_kernel_entries(N, pairs, samples, seed, chunk=200_000):
+def haar_kernel_entries(N, pairs, samples, seed, chunk=20_000):
     """Monte Carlo estimates of E[prod_a O_{x_a y_a}] for Haar orthogonal O.
 
     One stream of samples serves every requested (x, y) pair.  Sampling is QR
@@ -448,7 +496,7 @@ def haar_kernel_entries(N, pairs, samples, seed, chunk=200_000):
     return means.tolist(), np.sqrt(variances / samples).tolist()
 
 
-def haar_kernel_entry(N, x, y, samples, seed, chunk=200_000):
+def haar_kernel_entry(N, x, y, samples, seed, chunk=20_000):
     """Single-pair version of haar_kernel_entries; returns (estimate, stderr)."""
     means, errs = haar_kernel_entries(N, [(x, y)], samples, seed, chunk=chunk)
     return means[0], errs[0]

@@ -100,13 +100,14 @@ class ExperimentConfig:
 
     Defaults follow desk-scale proportions of the asymptotic parameter
     choices (see default_scales) and are echoed into the report so nothing is
-    hidden inside check code.
+    hidden inside check code.  An unset n takes the kind's default: 4 for
+    operator-suite and ansatz-compare, 2 for every other kind.
     """
 
     kind: str
     seed: int = 0
     N: int = 0
-    n: int = 2
+    n: int | None = None
     threads: int = 1
     out: str = "out"
     format: str = "csv"
@@ -217,6 +218,8 @@ def _apply_kind_defaults(cfg):
         cfg.N = cfg.N or 6
         cfg.n = cfg.n or 4
         cfg.t = cfg.t or 1.0
+    if cfg.n is None:
+        cfg.n = 2
 
 
 def default_scales(N, n, t, delta=0.2):

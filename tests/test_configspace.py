@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from momentflow import configspace as cs
 from momentflow._rng import stream
@@ -23,6 +24,14 @@ def random_coeffs(N, seed, lo=0.1, hi=1.0):
     C = rng.uniform(lo, hi, (N, N))
     C = 0.5 * (C + C.T)
     np.fill_diagonal(C, 0.0)
+    return C
+
+
+def coeffs_with_zeros(N, seed):
+    """Random symmetric coefficients with about a third of the pairs switched off."""
+    C = random_coeffs(N, seed)
+    off = stream(seed, 1).random((N, N)) < 0.3
+    C[off | off.T] = 0.0
     return C
 
 
@@ -331,3 +340,100 @@ def test_operator_export_and_space_csv(tmp_path):
     lines = open(csv_path).read().strip().splitlines()
     assert lines[0] == "index,x1,x2,pi"
     assert len(lines) == sp.size + 1
+
+
+# Every (N, n) the suite enumerates, plus one space above the dense cutoff.
+REFERENCE_SPACES = [(2, 2), (3, 2), (5, 2), (6, 2), (8, 2), (10, 2), (20, 2), (40, 2),
+                    (65, 2), (81, 2), (161, 2), (4, 4), (5, 4), (6, 4), (10, 4),
+                    (3, 6), (4, 6), (27, 4)]
+
+
+def reference_parts(space, C):
+    """Move and exchange entries {(x, y): value} built one jump at a time.
+
+    Each ordered label pair (a, b) on one site i moves to every j != i with
+    weight c_ij (n_j+1)/(n_i-1); on sites i != j it swaps with weight c_ij.
+    The two orderings of a pair reach the same y, so the sums carry the
+    documented move weight 2 (n_j+1)/(n_i-1) and exchange weight 2.
+    """
+    move, swap = {}, {}
+    for ix, x in enumerate(space.configs):
+        occ = space.occ[ix]
+        for a, b in itertools.permutations(range(space.n), 2):
+            i, k = x[a], x[b]
+            if i == k:
+                for j in range(space.N):
+                    if j != i:
+                        key = (ix, space.idx(cs.jump(x, "move", a, b, i, j)))
+                        w = C[i, j] * (occ[j] + 1.0) / (occ[i] - 1.0)
+                        move[key] = move.get(key, 0.0) + w
+            else:
+                key = (ix, space.idx(cs.jump(x, "swap", a, b, i, k)))
+                swap[key] = swap.get(key, 0.0) + C[i, k]
+    return move, swap
+
+
+def test_generator_matches_jump_reference():
+    for N, n in REFERENCE_SPACES:
+        sp = cs.enumerate_space(N, n)
+        C = coeffs_with_zeros(N, 13 + N + n)
+        move, swap = reference_parts(sp, C)
+        full = {**move, **{key: -v for key, v in swap.items()}}
+        for part, ref in (("full", full), ("move-only", move), ("exchange-only", swap)):
+            mat = cs.assemble_generator(sp, C, part=part).mat
+            assert sparse.issparse(mat) == (sp.size > cs.DENSE_CUTOFF)
+            got = sparse.coo_matrix(mat)
+            assert np.all(got.data != 0), (N, n, part)  # no explicit zeros
+            entries = dict(zip(zip(got.row.tolist(), got.col.tolist()), got.data.tolist()))
+            off = {key: v for key, v in entries.items() if key[0] != key[1]}
+            assert off == {key: v for key, v in ref.items() if v != 0}, (N, n, part)
+            rows = [[] for _ in range(sp.size)]
+            for (r, _), v in ref.items():
+                rows[r].append(v)
+            diag_ref = np.array([-math.fsum(r) for r in rows])
+            diag = np.array([entries.get((r, r), 0.0) for r in range(sp.size)])
+            assert np.all(np.abs(diag - diag_ref) <= 1e-13 * np.abs(diag_ref)), (N, n, part)
+            if sparse.issparse(mat):
+                pattern = sorted(list(off) + [(r, r) for r in range(sp.size) if diag_ref[r]])
+                ref_csr = sparse.csr_matrix((np.ones(len(pattern)), tuple(zip(*pattern))),
+                                            shape=mat.shape)
+                assert np.array_equal(mat.indptr, ref_csr.indptr)
+                assert np.array_equal(mat.indices, ref_csr.indices)
+
+
+def eigenvector_moment_flow(N, half, C):
+    """Bourgade-Yau generator on occupancies eta (sum eta = half), assembled
+    on its own: eta -> eta^{i->j} at rate c_ij 2 eta_i (1 + 2 eta_j)."""
+    etas = [eta for eta in itertools.product(range(half + 1), repeat=N) if sum(eta) == half]
+    index = {eta: k for k, eta in enumerate(etas)}
+    L = np.zeros((len(etas), len(etas)))
+    for k, eta in enumerate(etas):
+        for i, j in itertools.permutations(range(N), 2):
+            if eta[i] == 0:
+                continue
+            nu = list(eta)
+            nu[i] -= 1
+            nu[j] += 1
+            rate = C[i, j] * 2 * eta[i] * (1 + 2 * eta[j])
+            L[k, index[tuple(nu)]] += rate
+            L[k, k] -= rate
+    return etas, L
+
+
+def test_colorblind_sector_is_eigenvector_moment_flow():
+    # On label-symmetric f the exchanges vanish and B pushes forward to the
+    # classical eigenvector moment flow on eta = n(x)/2.
+    for N, n in [(5, 4), (6, 2), (4, 6)]:
+        sp = cs.enumerate_space(N, n)
+        C = coeffs_with_zeros(N, 17 + N)
+        B = cs.assemble_generator(sp, C).mat
+        etas, L = eigenvector_moment_flow(N, n // 2, C)
+        rng = stream(18, N)
+        for _ in range(3):
+            g = rng.standard_normal(len(etas))
+            f = cs.colorblind_transport(sp, "pullback", dict(zip(etas, g)))
+            pushed = cs.colorblind_transport(sp, "pushforward", B @ f)
+            assert sorted(pushed) == etas
+            want = L @ g
+            got = np.array([pushed[eta] for eta in etas])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from momentflow import ensembles as ens
+from momentflow import harness
 from momentflow.harness import (
     CheckResult,
     ExperimentConfig,
@@ -70,6 +71,29 @@ def test_ansatz_compare_passes():
     rep = run_experiment(ExperimentConfig(kind="ansatz-compare", seed=2,
                                           mc_trials=120, mc_N=32))
     assert rep.all_passed
+
+
+def test_particle_number_defaults(monkeypatch, tmp_path):
+    # The CLI builds configs without n: operator-suite and ansatz-compare run
+    # n=4, every other kind n=2, and an explicit n is kept.
+    class Captured(Exception):
+        pass
+
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        raise Captured
+
+    monkeypatch.setattr(harness, "run_experiment", capture)
+    for kind in ("operator-suite", "ansatz-compare", "mixing"):
+        with pytest.raises(Captured):
+            harness.main([kind, "--out", str(tmp_path)])
+    assert [cfg.n for cfg in seen] == [4, 4, 2]
+    for kind in ("operator-suite", "ansatz-compare"):
+        assert ExperimentConfig(kind=kind, n=2).n == 2
+        assert ExperimentConfig.from_dict({"kind": kind}).n == 4
+    assert ExperimentConfig(kind="assumptions").to_dict()["n"] == 2
 
 
 def test_joint_normality_small_goe():
