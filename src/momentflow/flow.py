@@ -2,9 +2,9 @@
 estimation.
 
 The path integrator exists to validate the configuration-space generator; the
-moment estimator itself uses one-shot direct perturbation plus a fresh
-eigensolve per trial, which is exact in distribution and free of
-discretization bias.
+Monte Carlo trials use one-shot direct perturbation plus a fresh eigensolve
+of only the needed eigenpairs per trial, which is exact in distribution and
+free of discretization bias.
 """
 
 import logging
@@ -149,17 +149,34 @@ def see_endpoint_ensemble(lam0, frame0, t, dt, n_paths, seed):
         W = math.sqrt(h / N) * S / gaps.transpose(0, 2, 1)
         W[:, idx, idx] = 0.0
         decay = 0.5 * (h / N) * (inv**2).sum(axis=1)
-        U = U + U @ W - U * decay[:, None, :]
-        Q, R = np.linalg.qr(U)
-        signs = np.sign(np.einsum("bii->bi", R))
-        signs[signs == 0] = 1.0
-        U = Q * signs[:, None, :]
+        U = _cgs2(U + U @ W - U * decay[:, None, :])
         # Rare crossings: restore ascending order pathwise.
         order = np.argsort(lam, axis=1)
         if not np.array_equal(order, np.tile(idx, (n_paths, 1))):
             lam = np.take_along_axis(lam, order, axis=1)
             U = np.take_along_axis(U, order[:, None, :], axis=2)
     return lam, U
+
+
+def _cgs2(A):
+    """Orthonormalize each matrix of the batch A (b, N, N) column by column.
+
+    Classical Gram-Schmidt with one reorthogonalization pass; the result is
+    the Q factor of A with a positive diagonal of R.  Raises when the batch
+    Gram defect exceeds FRAME_TOL.
+    """
+    n = A.shape[2]
+    cols = np.ascontiguousarray(A.transpose(2, 1, 0))  # cols[j] is (N, b)
+    for j, v in enumerate(cols):
+        for _ in range(2):
+            for q in cols[:j]:
+                v -= (q * v).sum(axis=0) * q
+        v /= np.sqrt((v * v).sum(axis=0))
+    defect = np.max([np.abs((cols[i] * cols[k]).sum(axis=0) - (i == k))
+                     for i in range(n) for k in range(i + 1)])
+    if not defect <= FRAME_TOL:
+        raise RuntimeError(f"ensemble frames lost orthonormality: defect {defect:.3g}")
+    return np.ascontiguousarray(cols.transpose(2, 1, 0))
 
 
 def align_frames(previous, current):
@@ -193,18 +210,6 @@ class MomentRequest:
     trials: int
     seed: int
 
-    @classmethod
-    def from_dict(cls, d, ensemble):
-        """JSON carries one test vector per row; columns are stored internally."""
-        return cls(
-            configuration=tuple(d["configuration"]),
-            vectors=np.asarray(d["vectors"], dtype=float).T,
-            ensemble=ensemble,
-            t=float(d.get("t", 0.0)),
-            trials=int(d["trials"]),
-            seed=int(d.get("seed", 0)),
-        )
-
 
 def _validate_request(req):
     x = tuple(req.configuration)
@@ -221,34 +226,51 @@ def _validate_request(req):
     return x, V
 
 
-def moment_trial_value(dec, x, V, pi_root, n):
-    cols = dec.frame[:, list(x)]
-    overlaps = np.einsum("ia,ia->a", cols, V)
-    return float(dec.N ** (n / 2.0) * np.prod(overlaps) / pi_root)
+def overlap_samples(ensemble, t, seed, trials, indices, vectors, threads=1):
+    """Per-trial overlaps <u_i(t), w> of eigenvectors with test vectors.
+
+    Returns an array (trials, len(indices), vectors.shape[1]) whose entry
+    [k, r, c] is the overlap of eigenvector indices[r] of trial k with column
+    c of `vectors`.  Trial k samples H from `ensemble` on stream (seed, k, 0)
+    and, for t > 0, adds sqrt(t) GOE on stream (seed, k, 1); it solves only
+    the eigenpairs min(indices)..max(indices).  Each value depends on
+    (seed, k) alone, so every thread count gives the same array; with one
+    thread the trials run in the calling thread.
+    """
+    lo, hi = min(indices), max(indices)
+    cols = [i - lo for i in indices]
+    W = np.asarray(vectors, dtype=float)
+
+    def run_trial(k):
+        H = sample_ensemble(ensemble, seed=(seed, k, 0))
+        if t > 0:
+            H = perturb_gaussian(H, t, (seed, k, 1))
+        return eig_sym(H, subset=(lo, hi)).frame[:, cols].T @ W
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(run_trial, range(trials)))
+    else:
+        rows = [run_trial(k) for k in range(trials)]
+    return np.array(rows).reshape(trials, len(cols), W.shape[1])
 
 
 def moment_samples(req, threads=1):
     """Per-trial values of pi^{-1/2} N^{n/2} prod <u_{x_a}(t), v_a>.
 
+    N is the matrix dimension, not the number of eigenpairs a trial solves.
     Each trial samples a fresh base matrix and, for t > 0, an independent
     Gaussian perturbation; trial streams are fixed by (seed, trial).
     """
     x, V = _validate_request(req)
     n = len(x)
-    pi_root = math.sqrt(pi_weight(x, req.ensemble.N))
-
-    def run_trial(k):
-        H = sample_ensemble(req.ensemble, seed=(req.seed, k, 0))
-        if req.t > 0:
-            H = perturb_gaussian(H, req.t, (req.seed, k, 1))
-        return moment_trial_value(eig_sym(H), x, V, pi_root, n)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(run_trial, range(req.trials)))
-    else:
-        values = [run_trial(k) for k in range(req.trials)]
-    return np.array(values)
+    N = req.ensemble.N
+    pi_root = math.sqrt(pi_weight(x, N))
+    sites = sorted(set(x))
+    overlaps = overlap_samples(req.ensemble, req.t, req.seed, req.trials, sites, V,
+                               threads=threads)
+    factors = overlaps[:, [sites.index(i) for i in x], np.arange(n)]
+    return N ** (n / 2.0) * np.prod(factors, axis=1) / pi_root
 
 
 def estimate_moment(req, threads=1):

@@ -20,8 +20,8 @@ from . import ansatz as ansatz_mod
 from . import configspace as cs
 from . import relaxation as rx
 from ._rng import stream
-from .ensembles import EnsembleSpec, perturb_gaussian, sample_ensemble
-from .flow import MomentRequest, estimate_moment, see_endpoint_ensemble
+from .ensembles import EnsembleSpec, sample_ensemble
+from .flow import MomentRequest, estimate_moment, overlap_samples, see_endpoint_ensemble
 from .spectral import (
     FreeConvolutionProfile,
     RegularityWindow,
@@ -531,24 +531,15 @@ def _joint_normality_experiment(cfg):
     i_bulk = N // 2
     j_bulk = i_bulk + 5
 
-    n_pairs = len(vw_pairs)
-    a_vals = np.empty((cfg.trials, n_pairs))
-    b_vals = np.empty(cfg.trials)
-    diag_vals = np.empty(cfg.trials)
-    fourth = np.empty(cfg.trials)
-    for k in range(cfg.trials):
-        H = sample_ensemble(spec, seed=(cfg.seed, k, 0))
-        if cfg.t > 0:
-            H = perturb_gaussian(H, cfg.t, (cfg.seed, k, 1))
-        dec = eig_sym(H)
-        ui = dec.frame[:, i_bulk]
-        uj = dec.frame[:, j_bulk]
-        for p, (v, w) in enumerate(vw_pairs):
-            a_vals[k, p] = N * (ui @ v) * (ui @ w)
-        v0, w0 = vw_pairs[0]
-        b_vals[k] = N * (uj @ v0) * (uj @ w0)
-        diag_vals[k] = N * (ui @ v0) ** 2
-        fourth[k] = N**2 * (ui @ v0) ** 4
+    # Columns v0, w0, v1, w1, ...; overlaps of u_{i_bulk} and u_{j_bulk}.
+    vectors = np.stack([u for pair in vw_pairs for u in pair], axis=1)
+    ov = overlap_samples(spec, cfg.t, cfg.seed, cfg.trials, (i_bulk, j_bulk), vectors,
+                         threads=cfg.threads)
+    oi, oj = ov[:, 0], ov[:, 1]
+    a_vals = N * oi[:, 0::2] * oi[:, 1::2]
+    b_vals = N * oj[:, 0] * oj[:, 1]
+    diag_vals = N * oi[:, 0] ** 2
+    fourth = N**2 * oi[:, 0] ** 4
 
     rows = []
     for p, (v, w) in enumerate(vw_pairs):

@@ -12,6 +12,7 @@ from momentflow import flow
 from momentflow import relaxation as rx
 from momentflow import spectral as spx
 from momentflow._rng import stream
+from momentflow.harness import ExperimentConfig, run_experiment
 
 
 def test_integrate_see_zero_time():
@@ -48,6 +49,17 @@ def test_endpoint_law_matches_direct_perturbation():
         direct[k] = np.linalg.eigvalsh(ens.perturb_gaussian(H0, t, (17, k)))
     ks = ks_2samp(lamT[:, N // 2], direct[:, N // 2]).statistic
     assert ks <= 0.05
+
+
+def test_cgs2_matches_householder_and_guards_rank():
+    # Reference: Householder QR with the diagonal of R made positive.
+    A = stream(27).standard_normal((50, 5, 5))
+    Q, R = np.linalg.qr(A)
+    Q = Q * np.sign(np.einsum("bii->bi", R))[:, None, :]
+    assert np.max(np.abs(flow._cgs2(A) - Q)) <= 1e-12
+    A[7, :, 3] = 0.0
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="orthonormality"):
+        flow._cgs2(A)
 
 
 def test_align_frames_actions():
@@ -144,19 +156,48 @@ def test_moment_rejects_odd_configuration():
         flow.estimate_moment(req)
 
 
-def test_moment_sign_flip_invariance():
-    dec = spx.eig_sym(ens.sample_goe(30, 9))
+def test_moment_sign_flip_invariance(monkeypatch):
+    # Flipping eigenvector signs leaves every even-occupancy moment bit-identical.
+    N = 30
     x = (10, 10, 12, 12)
     rng = stream(23)
-    V = np.stack([rng.standard_normal(30) for _ in range(4)], axis=1)
+    V = np.stack([rng.standard_normal(N) for _ in range(4)], axis=1)
     V /= np.linalg.norm(V, axis=0)
-    pr = math.sqrt(cs.pi_weight(x, 30))
-    val = flow.moment_trial_value(dec, x, V, pr, 4)
-    flipped = spx.SpectralDecomposition(
-        dec.eigenvalues,
-        dec.frame * np.array([(-1) ** k for k in range(30)])[None, :],
-    )
-    assert flow.moment_trial_value(flipped, x, V, pr, 4) == val
+    req = flow.MomentRequest(configuration=x, vectors=V,
+                             ensemble=ens.EnsembleSpec(kind="goe", N=N, seed=9),
+                             t=0.0, trials=8, seed=4)
+    values = flow.moment_samples(req)
+    solve = flow.eig_sym
+
+    def flipped(H, subset=None):
+        dec = solve(H, subset=subset)
+        signs = np.array([(-1) ** k for k in range(dec.frame.shape[1])])
+        return spx.SpectralDecomposition(dec.eigenvalues, dec.frame * signs[None, :])
+
+    monkeypatch.setattr(flow, "eig_sym", flipped)
+    assert np.array_equal(flow.moment_samples(req), values)
+
+
+@pytest.mark.parametrize("x, t", [((15, 15), 0.0), ((12, 12, 17, 17), 0.5)])
+def test_moment_samples_match_full_solve(x, t):
+    # Reference: a full eigensolve per trial and N = dim H in N^{n/2}.
+    N, n, trials = 30, len(x), 6
+    rng = stream(26)
+    V = np.stack([rng.standard_normal(N) for _ in range(n)], axis=1)
+    V /= np.linalg.norm(V, axis=0)
+    spec = ens.EnsembleSpec(kind="goe", N=N, seed=6)
+    req = flow.MomentRequest(configuration=x, vectors=V, ensemble=spec, t=t,
+                             trials=trials, seed=13)
+    pi_root = math.sqrt(cs.pi_weight(x, N))
+    expected = []
+    for k in range(trials):
+        H = ens.sample_ensemble(spec, seed=(13, k, 0))
+        if t > 0:
+            H = ens.perturb_gaussian(H, t, (13, k, 1))
+        U = spx.eig_sym(H).frame
+        overlaps = [U[:, i] @ V[:, a] for a, i in enumerate(x)]
+        expected.append(N ** (n / 2.0) * np.prod(overlaps) / pi_root)
+    assert np.max(np.abs(flow.moment_samples(req) - expected)) <= 1e-12
 
 
 def test_moment_report_files(tmp_path):
@@ -188,3 +229,9 @@ def test_moment_threads_deterministic():
     a = flow.moment_samples(req, threads=1)
     b = flow.moment_samples(req, threads=4)
     assert np.array_equal(a, b)
+    checks = []
+    for threads in (1, 2):
+        cfg = ExperimentConfig(kind="joint-normality", seed=8, trials=64, threads=threads,
+                               ensemble=ens.EnsembleSpec(kind="goe", N=N, seed=8))
+        checks.append([(c.name, c.value, c.tol) for c in run_experiment(cfg).checks])
+    assert checks[0] == checks[1]

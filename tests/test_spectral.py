@@ -45,6 +45,43 @@ def test_eig_sym_reconstruction():
     assert np.max(np.abs(recon - H)) <= 1e-8 * (1 + np.max(np.abs(H)))
 
 
+@pytest.mark.parametrize("N", [8, 64, 200])
+def test_eig_sym_subset_matches_full(N):
+    H = ens.sample_goe(N, (31, N))
+    full = spx.eig_sym(H)
+    # [N//2, N//2 + 5] is clipped to the spectrum at N = 8.
+    for lo, hi in ((0, 0), (N - 1, N - 1), (N // 2, min(N // 2 + 5, N - 1))):
+        part = spx.eig_sym(H, subset=(lo, hi))
+        assert part.N == N and part.frame.shape == (N, hi - lo + 1)
+        assert np.max(np.abs(part.eigenvalues - full.eigenvalues[lo:hi + 1])) <= 1e-12
+        assert np.max(np.abs(part.frame - full.frame[:, lo:hi + 1])) <= 1e-12
+    with pytest.raises(ValueError, match="subset"):
+        spx.eig_sym(H, subset=(N // 2, N))
+
+
+@pytest.mark.parametrize("defect, message", [("column", "orthonormal"),
+                                             ("eigenvalue", "residual")])
+def test_eig_sym_subset_certifies_returned_columns(monkeypatch, defect, message):
+    # A solver result off by 1e-6 in one column, or in one eigenvalue (which
+    # leaves the columns orthonormal), must not pass the certificate.
+    solve = spx.scipy.linalg.eigh
+
+    def perturbed(*args, **kwargs):
+        lam, U = solve(*args, **kwargs)
+        lam, U = lam.copy(), U.copy()
+        if defect == "column":
+            U[0, 2] += 1e-6
+        else:
+            lam[2] += 1e-6
+        return lam, U
+
+    H = ens.sample_goe(64, 41)
+    assert spx.eig_sym(H, subset=(30, 35)).frame.shape == (64, 6)
+    monkeypatch.setattr(spx.scipy.linalg, "eigh", perturbed)
+    with pytest.raises(ValueError, match=message):
+        spx.eig_sym(H, subset=(30, 35))
+
+
 def test_stieltjes_values():
     assert spx.stieltjes(zero_dec(4), 1j) == pytest.approx(1j)
     dec1 = spx.SpectralDecomposition(np.array([2.0]), np.eye(1))
@@ -110,6 +147,17 @@ def test_free_convolution_residual_grid():
     assert worst <= prof.tolerance
     for z in pts:
         assert spx.free_convolution_m(prof, z).imag >= 0
+
+
+def test_fixed_point_chunking_is_bitwise(monkeypatch):
+    # Every grid point iterates on its own, so the chunk length cannot move gamma.
+    def gamma():
+        prof = spx.FreeConvolutionProfile(spx.eig_sym(ens.sample_goe(40, 12)), 0.5)
+        return spx.classical_locations(prof)
+
+    chunked = gamma()
+    monkeypatch.setattr(spx, "FIXED_POINT_CHUNK", 1024)
+    assert np.array_equal(chunked, gamma())
 
 
 def semicircle_quantile(level, t=1.0):
