@@ -6,6 +6,7 @@ bit for bit.  Matrices come back as plain numpy arrays that are exactly
 symmetric because only one triangle is drawn and then mirrored.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,14 +21,26 @@ ENTRY_LAWS = ("bernoulli", "gaussian")
 _PAIRING_RESTART_CAP = 10_000
 
 
+@functools.lru_cache(maxsize=4)
+def _mirror_indices(N):
+    """Flat indices into an N x N array of the strict upper triangle, in
+    np.triu_indices order, and of its mirror image below the diagonal."""
+    i, j = np.triu_indices(N, k=1)
+    upper, lower = i * N + j, j * N + i
+    upper.setflags(write=False)
+    lower.setflags(write=False)
+    return upper, lower
+
+
 def _symmetrize_upper(upper, diag):
     """Assemble an exactly symmetric matrix from its strict upper triangle and diagonal."""
     N = diag.shape[0]
+    upper_idx, lower_idx = _mirror_indices(N)
     H = np.zeros((N, N))
-    iu = np.triu_indices(N, k=1)
-    H[iu] = upper
-    H = H + H.T
-    H[np.diag_indices(N)] = diag
+    flat = H.reshape(-1)
+    flat[upper_idx] = upper
+    flat[lower_idx] = upper
+    flat[::N + 1] = diag
     return H
 
 
@@ -173,13 +186,13 @@ def sample_generalized_wigner(spec):
     _check_profile(profile, N, spec.profile_bound)
     sigma = np.sqrt(profile)
     rng = stream(spec.seed)
-    iu = np.triu_indices(N, k=1)
-    n_up = iu[0].size
+    sigma_up = sigma.reshape(-1)[_mirror_indices(N)[0]]
+    n_up = sigma_up.size
     if spec.entry_law == "bernoulli":
-        upper = (2.0 * rng.integers(0, 2, size=n_up) - 1.0) * sigma[iu]
+        upper = (2.0 * rng.integers(0, 2, size=n_up) - 1.0) * sigma_up
         diag = (2.0 * rng.integers(0, 2, size=N) - 1.0) * np.diag(sigma)
     else:
-        upper = rng.standard_normal(n_up) * sigma[iu]
+        upper = rng.standard_normal(n_up) * sigma_up
         diag = rng.standard_normal(N) * np.diag(sigma)
     return _symmetrize_upper(upper, diag)
 
@@ -197,8 +210,7 @@ def sample_sparse_graph(spec):
         N, p = spec.N, spec.p
         rng = stream(spec.seed)
         scale = 1.0 / math.sqrt(p * (1.0 - p / N))
-        iu = np.triu_indices(N, k=1)
-        upper = (rng.random(iu[0].size) < p / N) * scale
+        upper = (rng.random(N * (N - 1) // 2) < p / N) * scale
         return _symmetrize_upper(upper, np.zeros(N))
     if spec.kind == "p-regular":
         return _sample_p_regular(spec.N, int(spec.p), spec.seed)

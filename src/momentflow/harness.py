@@ -384,14 +384,17 @@ def _operator_suite_experiment(cfg):
 
     if n == 4:
         worst_comm = 0.0
-        partitions = cs.all_partitions(4)
+        # Built once for all pairs, and freed below before the Haar sampler,
+        # which sets this suite's peak memory.
+        expectations = [cs.conditional_expectation(space, part).dense()
+                        for part in cs.all_partitions(4)]
         for i in range(N):
             for j in range(i + 1, N):
                 Bij = cs.pair_generator(space, i, j).dense()
-                for part in partitions:
-                    EP = cs.conditional_expectation(space, part).dense()
+                for EP in expectations:
                     worst_comm = max(worst_comm,
                                      float(np.max(np.abs(Bij @ EP - EP @ Bij))))
+        del expectations
         _bound_check(checks, "generator-expectation-commutation", worst_comm, 1e-12)
 
     stab_ok = all(

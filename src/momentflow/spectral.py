@@ -18,10 +18,15 @@ FIXED_POINT_TOL = 1e-12
 FIXED_POINT_DAMPING = 0.5
 FIXED_POINT_CAP = 10_000
 # Spectral parameters per vectorized fixed-point solve.  Each Newton step
-# allocates complex (N x chunk) temporaries: 1 MB at N = 500 here, where
-# 1024-point chunks took about a million minor page faults per assumptions run.
+# allocates complex (N x chunk) temporaries, 1 MB at N = 500.  Much larger ones
+# can sit above glibc's mmap threshold and be mapped afresh at every step: at
+# 1024 points (8 MB) that cost about 30 minor page faults per point solved.
 FIXED_POINT_CHUNK = 128
-QUANTILE_BISECTIONS = 64
+# Classical locations: stop when every |F(gamma_i) - (i - 1/2)/N| is below
+# QUANTILE_TOL (the rounding floor of F is about 4e-14 at N = 1000), and raise
+# after QUANTILE_ROUNDS safeguarded Newton rounds.
+QUANTILE_TOL = 1e-13
+QUANTILE_ROUNDS = 100
 REGULAR_IM_THRESHOLD = 1e-6
 
 
@@ -261,14 +266,7 @@ def free_convolution_m(profile, z):
         raise ValueError("spectral parameter must have eta >= 0")
     if z in profile._cache:
         return profile._cache[z]
-    try:
-        m = complex(_solve_fixed_point(profile, z)[0])
-    except RuntimeError:
-        if z.imag == 0.0:
-            # Real-axis evaluation stalled; restart a hair above the axis.
-            m = complex(_solve_fixed_point(profile, z + 1e-8j)[0])
-        else:
-            raise
+    m = complex(_solve_fixed_point(profile, z)[0])
     profile._cache[z] = m
     return m
 
@@ -281,61 +279,102 @@ def fixed_point_residual(profile, z, m=None):
     return abs(m - target)
 
 
-def _density_grid(profile):
-    # Spacing min(t,1)/2048: edge quantiles are ill conditioned (slope of the
-    # distribution vanishes like a square root), and coarser trapezoid grids
-    # cannot certify them to 1e-4.
-    lam = profile.reference.eigenvalues
+def _cdf_and_density(profile, energies):
+    """Distribution function F and density F' of mu_N [+] sigma_t at real energies.
+
+    With m the fixed point at E and omega = E + t m, the log potential
+    L_t(E) = mean_k log(omega - lambda_k) + t m^2 / 2 satisfies dL_t/dE = -m
+    (subordination, Biane 1997), so F(E) = 1 - Im L_t(E + i0) / pi.  L_t is
+    stationary in m at the fixed point, so F carries the square of the
+    fixed-point error; no quadrature enters.  F' = Im m / pi.
+    """
     t = profile.t
-    lo = lam.min() - 2.0 * math.sqrt(t) - 1.0
-    hi = lam.max() + 2.0 * math.sqrt(t) + 1.0
-    h = min(t, 1.0) / 2048.0
-    count = int(math.ceil((hi - lo) / h)) + 1
-    grid = np.linspace(lo, hi, count)
-    m = _solve_fixed_point(profile, grid.astype(complex))
-    density = np.maximum(m.imag, 0.0) / math.pi
-    return grid, density
+    lam = profile.reference.eigenvalues
+    m = _solve_fixed_point(profile, energies)
+    omega = energies + t * m
+    # omega lies in the closed upper half plane, so each argument runs from pi
+    # (left of lambda_k) down to 0; abs() keeps a signed zero from giving -pi.
+    args = np.arctan2(np.abs(omega.imag), omega.real - lam[:, None])
+    F = 1.0 - (np.mean(args, axis=0) + t * m.real * m.imag) / math.pi
+    return F, m.imag / math.pi
+
+
+def _semicircle_quantiles(levels):
+    """Quantiles of the unit-variance semicircle law on [-2, 2].
+
+    With x = 2 sin(phi / 2) the distribution function is
+    1/2 + (phi + sin phi) / (2 pi), which is bisected in phi.
+    """
+    target = 2.0 * math.pi * (levels - 0.5)
+    lo, hi = np.full(levels.shape, -math.pi), np.full(levels.shape, math.pi)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = mid + np.sin(mid) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 2.0 * np.sin(0.25 * (lo + hi))
 
 
 def classical_locations(profile):
-    """Quantiles gamma_i(t) of the free-convolution density at levels (i - 1/2)/N.
+    """Quantiles gamma_i(t) of mu_N [+] sigma_t at levels (i - 1/2)/N.
 
-    Trapezoid integration of Im m on a fixed grid followed by bisection of the
-    interpolated distribution function.
+    Safeguarded Newton on the exact distribution function F (see
+    _cdf_and_density), vectorized over i.  It starts from the moment-matched
+    semicircle, mean(lambda) + sqrt(var(lambda) + t) times the unit semicircle
+    quantile, which is exact for a zero reference.  Each round solves the fixed
+    point afresh at the current points, narrows the bracket [a, b] with
+    F(a) < level < F(b), and takes the Newton step only when it lands strictly
+    inside the bracket, bisecting otherwise.  Points whose |F - level| reaches
+    QUANTILE_TOL stop; a point still short after QUANTILE_ROUNDS raises.
     """
     if profile._gamma is not None:
         return profile._gamma
-    N = profile.reference.N
-    grid, density = _density_grid(profile)
-    seg = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
-    cdf = np.concatenate([[0.0], np.cumsum(seg)])
+    lam = profile.reference.eigenvalues
+    t = profile.t
+    N = lam.size
     levels = (np.arange(1, N + 1) - 0.5) / N
-    if cdf[-1] < levels[-1]:
+    # The law is supported in [min lambda - 2 sqrt t, max lambda + 2 sqrt t].
+    a = np.full(N, lam.min() - 2.0 * math.sqrt(t))
+    b = np.full(N, lam.max() + 2.0 * math.sqrt(t))
+    start = lam.mean() + math.sqrt(lam.var() + t) * _semicircle_quantiles(levels)
+    gamma = np.clip(start, a, b)
+    active = np.arange(N)
+    for _ in range(QUANTILE_ROUNDS):
+        x = gamma[active]
+        F, density = _cdf_and_density(profile, x)
+        miss = F - levels[active]
+        done = np.abs(miss) <= QUANTILE_TOL
+        below = miss < 0
+        a[active] = np.where(below, x, a[active])
+        b[active] = np.where(below, b[active], x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - miss / density
+        lo, hi = a[active], b[active]
+        inside = (newton > lo) & (newton < hi)
+        gamma[active] = np.where(done, x, np.where(inside, newton, 0.5 * (lo + hi)))
+        active = active[~done]
+        if active.size == 0:
+            break
+    else:
         raise RuntimeError(
-            f"density integration failure: total mass {cdf[-1]:.6f} below top level"
+            f"classical locations did not converge in {QUANTILE_ROUNDS} rounds: "
+            f"worst |F - level| {np.max(np.abs(miss)):.3g}"
         )
-    lo = np.full(N, grid[0])
-    hi = np.full(N, grid[-1])
-    for _ in range(QUANTILE_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        below = np.interp(mid, grid, cdf) < levels
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    gamma = 0.5 * (lo + hi)
     profile._gamma = gamma
     return gamma
 
 
 def quantile_defect(profile, gamma=None):
-    """Max |(1/pi) int Im m - (i - 1/2)/N| at the computed locations."""
+    """Max |F(gamma_i) - (i - 1/2)/N| with the exact distribution function F.
+
+    F is evaluated afresh at the given locations, independently of how they
+    were found.
+    """
     if gamma is None:
         gamma = classical_locations(profile)
-    N = profile.reference.N
-    grid, density = _density_grid(profile)
-    seg = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
-    cdf = np.concatenate([[0.0], np.cumsum(seg)])
+    N = profile.reference.eigenvalues.size
     levels = (np.arange(1, N + 1) - 0.5) / N
-    return float(np.max(np.abs(np.interp(gamma, grid, cdf) - levels)))
+    F, _ = _cdf_and_density(profile, gamma)
+    return float(np.max(np.abs(F - levels)))
 
 
 def covariance_form(profile, i, v, w, threshold=REGULAR_IM_THRESHOLD):

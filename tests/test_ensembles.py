@@ -17,6 +17,22 @@ def test_goe_symmetric_and_deterministic():
     assert not np.array_equal(Z, ens.sample_goe(40, seed=8))
 
 
+def test_symmetrize_upper_matches_loop_reference():
+    # Row-major strict upper triangle mirrored below, diagonal on its own; the
+    # cached flat indices must place every entry exactly, for repeated N too.
+    rng = stream(3)
+    for N in (1, 2, 7, 7, 30):
+        upper = rng.standard_normal(N * (N - 1) // 2)
+        diag = rng.standard_normal(N)
+        ref = np.diag(diag)
+        k = 0
+        for i in range(N):
+            for j in range(i + 1, N):
+                ref[i, j] = ref[j, i] = upper[k]
+                k += 1
+        assert np.array_equal(ens._symmetrize_upper(upper, diag), ref)
+
+
 def test_goe_entry_variance_fresh_samples():
     # 1e5 fresh draws of the (1,2) entry at N=40: variance 1/N.
     N, M = 40, 100_000

@@ -138,6 +138,16 @@ def test_free_convolution_small_t_degenerate():
     assert abs(spx.free_convolution_m(prof, 1j) - spx.stieltjes(dec, 1j)) <= 1e-6
 
 
+def test_free_convolution_real_axis_stall_raises():
+    # No silent restart off the axis: a real-axis solve that cannot reach the
+    # tolerance within its iteration cap raises.
+    prof = spx.FreeConvolutionProfile(spx.eig_sym(ens.sample_goe(40, 12)), 0.5,
+                                      max_iterations=2)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        spx.free_convolution_m(prof, 0.3)
+    assert not prof._cache
+
+
 def test_free_convolution_residual_grid():
     dec = spx.eig_sym(ens.sample_goe(60, 8))
     prof = spx.FreeConvolutionProfile(dec, 0.5)
@@ -150,14 +160,66 @@ def test_free_convolution_residual_grid():
 
 
 def test_fixed_point_chunking_is_bitwise(monkeypatch):
-    # Every grid point iterates on its own, so the chunk length cannot move gamma.
-    def gamma():
-        prof = spx.FreeConvolutionProfile(spx.eig_sym(ens.sample_goe(40, 12)), 0.5)
-        return spx.classical_locations(prof)
-
-    chunked = gamma()
+    # Every point iterates on its own, so the chunk length cannot move m.
+    prof = spx.FreeConvolutionProfile(spx.eig_sym(ens.sample_goe(40, 12)), 0.5)
+    grid = np.linspace(-3.0, 3.0, 1000)
+    chunked = spx._solve_fixed_point(prof, grid)
+    assert grid.size > spx.FIXED_POINT_CHUNK
     monkeypatch.setattr(spx, "FIXED_POINT_CHUNK", 1024)
-    assert np.array_equal(chunked, gamma())
+    assert np.array_equal(chunked, spx._solve_fixed_point(prof, grid))
+
+
+def test_classical_locations_goe_against_quadrature():
+    # Oracle independent of the log-potential CDF: brentq on quad of the
+    # density Im m / pi.  The moment-matched semicircle start is off by 0.08
+    # here, so this needs the Newton rounds.
+    prof = spx.FreeConvolutionProfile(spx.eig_sym(ens.sample_goe(40, 12)), 0.5)
+    gamma = spx.classical_locations(prof)
+
+    def density(e):
+        return spx.free_convolution_m(prof, e).imag / math.pi
+
+    # Cumulative quadrature between anchors spanning the support; each level
+    # is then bracketed by two anchors and brentq integrates from the lower.
+    lam = prof.reference.eigenvalues
+    anchors = np.linspace(lam[0] - 2.0 * math.sqrt(prof.t) - 0.5,
+                          lam[-1] + 2.0 * math.sqrt(prof.t) + 0.5, 81)
+    mass = np.concatenate([[0.0], np.cumsum(
+        [quad(density, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+         for a, b in zip(anchors[:-1], anchors[1:])])])
+    assert abs(mass[-1] - 1.0) <= 1e-11
+
+    N = lam.size
+    for i in (0, 1, 6, 13, 20, 27, 33, 38, 39):
+        level = (i + 0.5) / N
+        k = int(np.searchsorted(mass, level)) - 1
+        a, b = anchors[k], anchors[k + 1]
+        oracle = brentq(
+            lambda x: mass[k] + quad(density, a, x, epsabs=1e-13, epsrel=1e-12,
+                                     limit=200)[0] - level,
+            a, b, xtol=1e-12)
+        assert abs(gamma[i] - oracle) <= 1e-10
+
+
+@pytest.mark.parametrize("N", [40, 1000])
+def test_classical_locations_semicircle_closed_form(N):
+    def sc_cdf(x):
+        x = min(max(x, -2.0), 2.0)
+        return 0.5 + x * math.sqrt(4.0 - x * x) / (4.0 * math.pi) \
+            + math.asin(x / 2.0) / math.pi
+
+    gamma = spx.classical_locations(spx.FreeConvolutionProfile(zero_dec(N), 1.0))
+    for i in range(N):
+        oracle = brentq(lambda x: sc_cdf(x) - (i + 0.5) / N, -2.0, 2.0, xtol=1e-14)
+        assert abs(gamma[i] - oracle) <= 1e-10
+
+
+def test_quantile_defect_detects_shifted_location():
+    prof = spx.FreeConvolutionProfile(spx.eig_sym(ens.sample_goe(40, 12)), 0.5)
+    gamma = spx.classical_locations(prof).copy()
+    assert spx.quantile_defect(prof, gamma) <= spx.QUANTILE_TOL
+    gamma[17] += 1e-9
+    assert spx.quantile_defect(prof, gamma) > 1e-12
 
 
 def semicircle_quantile(level, t=1.0):
