@@ -12,12 +12,14 @@ import csv
 import functools
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._rng import stream
+from .spectral import _cgs2
 
 DENSE_CUTOFF = 2000
 SIZE_GUARD = 10**6
@@ -37,10 +39,6 @@ def double_factorial(k):
 def occupancies(x, N):
     """Particle numbers n_i(x) for each site."""
     return np.bincount(np.asarray(x, dtype=np.intp), minlength=N)
-
-
-def is_even_configuration(x, N):
-    return bool(np.all(occupancies(x, N) % 2 == 0))
 
 
 def pi_weight(x, N):
@@ -80,13 +78,6 @@ class ConfigurationSpace:
 
     def idx(self, x):
         return self.index[tuple(x)]
-
-    def function(self, values_by_config):
-        """Array over the enumeration from a {config: value} mapping (others zero)."""
-        f = np.zeros(self.size)
-        for x, v in values_by_config.items():
-            f[self.idx(x)] = v
-        return f
 
     def delta(self, x):
         """delta_x with the <delta_x, f> = f(x) normalization."""
@@ -189,11 +180,15 @@ def enumerate_space(N, n, size_guard=SIZE_GUARD):
     configs.sort()
     if len(configs) != total:
         raise AssertionError(f"enumeration produced {len(configs)} of {total} configurations")
-    pi = np.array([pi_weight(x, N) for x in configs], dtype=float)
+    X = np.array(configs, dtype=np.int64)
+    occ = np.bincount((X + N * np.arange(total)[:, None]).ravel(),
+                      minlength=total * N).reshape(total, N)
+    # (k!!)^2 by occupancy k; exact in int64 up to n = 20 (larger n overflows
+    # here, loudly).
+    weights = np.array([double_factorial(k) ** 2 if k % 2 == 0 else 0
+                        for k in range(n + 1)], dtype=np.int64)
+    pi = np.prod(weights[occ], axis=1).astype(float)
     index = {x: i for i, x in enumerate(configs)}
-    occ = np.zeros((len(configs), N), dtype=np.int64)
-    for i, x in enumerate(configs):
-        occ[i] = occupancies(x, N)
     return ConfigurationSpace(N=N, n=n, configs=configs, pi=pi, index=index, occ=occ)
 
 
@@ -238,15 +233,6 @@ class WeightedOperator:
 
     def dense(self):
         return self.mat.toarray() if sp.issparse(self.mat) else np.asarray(self.mat)
-
-    def apply(self, f):
-        return self.mat @ f
-
-    def measure_rep(self):
-        """Pi-conjugated matrix acting on measures: Pi mat Pi^{-1}."""
-        A = self.dense()
-        pi = self.space.pi
-        return (pi[:, None] * A) / pi[None, :]
 
     def reversibility_defect(self):
         """max |Pi mat - mat^T Pi|; zero for pi-self-adjoint operators."""
@@ -449,6 +435,17 @@ def chi_matrix(space):
     return X
 
 
+def pi_symmetrize(space, A):
+    """Symmetric part of Pi^{1/2} A Pi^{-1/2} for a dense matrix A.
+
+    For a pi-self-adjoint A the conjugate is already symmetric, with A's
+    spectrum; symmetrizing removes the rounding so that eigh applies.
+    """
+    half = np.sqrt(space.pi)
+    S = (half[:, None] * A) / half[None, :]
+    return 0.5 * (S + S.T)
+
+
 def kernel_projection(space):
     """Pi-orthogonal projection onto span{chi_sigma}: idempotent, pi-self-adjoint."""
     X = chi_matrix(space)
@@ -466,37 +463,49 @@ def delta_pairing(space, op, x, y):
     return A[space.idx(x), space.idx(y)] / space.pi[space.idx(y)]
 
 
-def haar_kernel_entries(N, pairs, samples, seed, chunk=20_000):
+def haar_kernel_entries(N, pairs, samples, seed, chunk=4096):
     """Monte Carlo estimates of E[prod_a O_{x_a y_a}] for Haar orthogonal O.
 
-    One stream of samples serves every requested (x, y) pair.  Sampling is QR
-    of a Gaussian matrix with the triangular factor's diagonal signs folded
-    into Q.  Returns parallel lists (estimates, stderrs).
+    One stream of samples serves every requested (x, y) pair.  Each sample is
+    the Q factor, with a positive diagonal of R, of a Gaussian matrix, which
+    is Haar distributed.  Chunks of `chunk` samples are orthonormalized
+    together by Gram-Schmidt in the column-major layout; while one chunk is
+    processed, a single worker thread draws the next from the stream, in
+    order, so the draws are the same as in a serial run.  Returns parallel
+    lists (estimates, stderrs).
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     idx = [(np.asarray(x, dtype=np.intp), np.asarray(y, dtype=np.intp))
            for x, y in pairs]
     rng = stream(seed)
+    sizes = [min(chunk, samples - done) for done in range(0, samples, chunk)]
     total = np.zeros(len(idx))
     total_sq = np.zeros(len(idx))
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        G = rng.standard_normal((m, N, N))
-        Q, R = np.linalg.qr(G)
-        signs = np.sign(np.einsum("kii->ki", R))
-        signs[signs == 0] = 1.0
-        Q = Q * signs[:, None, :]
-        for k, (x, y) in enumerate(idx):
-            prod = np.prod(Q[:, x, y], axis=1)
-            total[k] += float(prod.sum())
-            total_sq[k] += float((prod**2).sum())
-        done += m
+
+    def draw(m):
+        # Column-major copy of m Gaussian matrices: cols[j, i] = G[:, i, j].
+        # Only numpy runs here, and it releases the GIL while it fills and
+        # copies arrays.
+        return np.ascontiguousarray(rng.standard_normal((m, N, N)).transpose(2, 1, 0))
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(draw, sizes[0])
+        for m_next in sizes[1:] + [0]:
+            cols = pending.result()
+            if m_next:
+                pending = pool.submit(draw, m_next)
+            _cgs2(cols)
+            for k, (x, y) in enumerate(idx):
+                prod = np.prod(cols[y, x], axis=0)
+                total[k] += float(prod.sum())
+                total_sq[k] += float((prod**2).sum())
     means = total / samples
     variances = np.maximum(total_sq / samples - means**2, 0.0)
     return means.tolist(), np.sqrt(variances / samples).tolist()
 
 
-def haar_kernel_entry(N, x, y, samples, seed, chunk=20_000):
+def haar_kernel_entry(N, x, y, samples, seed, chunk=4096):
     """Single-pair version of haar_kernel_entries; returns (estimate, stderr)."""
     means, errs = haar_kernel_entries(N, [(x, y)], samples, seed, chunk=chunk)
     return means[0], errs[0]

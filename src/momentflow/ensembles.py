@@ -44,16 +44,6 @@ def _symmetrize_upper(upper, diag):
     return H
 
 
-def is_symmetric(H):
-    """True when H is square, finite, and equals its transpose exactly."""
-    return (
-        H.ndim == 2
-        and H.shape[0] == H.shape[1]
-        and np.all(np.isfinite(H))
-        and np.array_equal(H, H.T)
-    )
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Declarative description of one matrix ensemble.

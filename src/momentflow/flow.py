@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from ._rng import stream
 from .configspace import occupancies, pi_weight
 from .ensembles import perturb_gaussian, sample_ensemble
-from .spectral import eig_sym
+from .spectral import _cgs2, eig_sym
 
 log = logging.getLogger(__name__)
 
@@ -149,34 +149,15 @@ def see_endpoint_ensemble(lam0, frame0, t, dt, n_paths, seed):
         W = math.sqrt(h / N) * S / gaps.transpose(0, 2, 1)
         W[:, idx, idx] = 0.0
         decay = 0.5 * (h / N) * (inv**2).sum(axis=1)
-        U = _cgs2(U + U @ W - U * decay[:, None, :])
+        cols = np.ascontiguousarray((U + U @ W - U * decay[:, None, :]).transpose(2, 1, 0))
+        _cgs2(cols)
+        U = np.ascontiguousarray(cols.transpose(2, 1, 0))
         # Rare crossings: restore ascending order pathwise.
         order = np.argsort(lam, axis=1)
         if not np.array_equal(order, np.tile(idx, (n_paths, 1))):
             lam = np.take_along_axis(lam, order, axis=1)
             U = np.take_along_axis(U, order[:, None, :], axis=2)
     return lam, U
-
-
-def _cgs2(A):
-    """Orthonormalize each matrix of the batch A (b, N, N) column by column.
-
-    Classical Gram-Schmidt with one reorthogonalization pass; the result is
-    the Q factor of A with a positive diagonal of R.  Raises when the batch
-    Gram defect exceeds FRAME_TOL.
-    """
-    n = A.shape[2]
-    cols = np.ascontiguousarray(A.transpose(2, 1, 0))  # cols[j] is (N, b)
-    for j, v in enumerate(cols):
-        for _ in range(2):
-            for q in cols[:j]:
-                v -= (q * v).sum(axis=0) * q
-        v /= np.sqrt((v * v).sum(axis=0))
-    defect = np.max([np.abs((cols[i] * cols[k]).sum(axis=0) - (i == k))
-                     for i in range(n) for k in range(i + 1)])
-    if not defect <= FRAME_TOL:
-        raise RuntimeError(f"ensemble frames lost orthonormality: defect {defect:.3g}")
-    return np.ascontiguousarray(cols.transpose(2, 1, 0))
 
 
 def align_frames(previous, current):

@@ -358,10 +358,7 @@ def _operator_suite_experiment(cfg):
     _bound_check(checks, "kernel-annihilation",
                  float(np.max(np.abs(B.mat @ X))), 1e-12)
 
-    half = np.sqrt(space.pi)
-    Bsym = (half[:, None] * B.dense()) / half[None, :]
-    Bsym = 0.5 * (Bsym + Bsym.T)
-    evals = np.linalg.eigvalsh(Bsym)
+    evals = np.linalg.eigvalsh(cs.pi_symmetrize(space, B.dense()))
     _bound_check(checks, "top-eigenvalue", float(evals[-1]), 1e-10)
     null_dim = int(np.sum(np.abs(evals) <= 1e-10 * max(1.0, abs(evals[0]))))
     _check(checks, "nullspace-dimension", null_dim, X.shape[1], 0)
@@ -372,11 +369,8 @@ def _operator_suite_experiment(cfg):
         for j in range(i + 1, N):
             E = cs.pair_generator(space, i, j, part="exchange-only")
             M = cs.pair_generator(space, i, j, part="move-only")
-            Esym = 0.5 * ((half[:, None] * E.dense()) / half[None, :]
-                          + ((half[:, None] * E.dense()) / half[None, :]).T)
-            D = M.dense() - E.dense()
-            Dsym = 0.5 * ((half[:, None] * D) / half[None, :]
-                          + ((half[:, None] * D) / half[None, :]).T)
+            Esym = cs.pi_symmetrize(space, E.dense())
+            Dsym = cs.pi_symmetrize(space, M.dense() - E.dense())
             worst_exch = max(worst_exch, float(np.linalg.eigvalsh(Esym)[-1]))
             worst_gap = max(worst_gap, float(np.linalg.eigvalsh(Dsym)[-1]))
     _bound_check(checks, "exchange-negative-semidefinite", worst_exch, 1e-10)

@@ -18,6 +18,7 @@ from .configspace import (
     kernel_projection,
     local_neighborhood,
     local_projection,
+    pi_symmetrize,
 )
 
 DENSE_SOLVE_GUARD = 3000
@@ -87,20 +88,6 @@ class CoefficientSchedule:
                                    tag=f"short-range(ell={ell})",
                                    time_dependent=self.time_dependent)
 
-    def lattice(self, ell, window, upsilon=None):
-        """Keep the schedule on the window up to range ell, N/|i-j|^2 elsewhere."""
-        N = self.N
-        mask = _range_mask(N, ell, window)
-        idx = np.arange(N)
-        gaps = idx[:, None] - idx[None, :]
-        with np.errstate(divide="ignore"):
-            off = N / np.where(gaps == 0, np.inf, gaps.astype(float) ** 2)
-        base = self.fn
-        fn = (lambda s: np.where(mask, base(s), off))
-        return CoefficientSchedule(fn=fn, N=N, upsilon=upsilon,
-                                   tag=f"lattice(ell={ell})",
-                                   time_dependent=self.time_dependent)
-
     def heavytail_margin(self, times=(0.0,)):
         """min over sampled times and pairs of c_ij - upsilon/|i-j|^2 (>= 0 is good)."""
         if self.upsilon is None:
@@ -128,11 +115,8 @@ def _range_mask(N, ell, window):
 
 def _symmetrized_eig(space, op):
     """Eigendecomposition of Pi^{1/2} A Pi^{-1/2}; valid for pi-self-adjoint A."""
-    half = np.sqrt(space.pi)
-    S = (half[:, None] * op.dense()) / half[None, :]
-    S = 0.5 * (S + S.T)
-    w, Q = np.linalg.eigh(S)
-    return w, Q, half
+    w, Q = np.linalg.eigh(pi_symmetrize(space, op.dense()))
+    return w, Q, np.sqrt(space.pi)
 
 
 def _propagator_factory(space, op):
@@ -155,13 +139,6 @@ def operator_norm_2inf(space, mat):
     """Exact L2 -> Linf norm: max over rows of the pi-weighted row norm."""
     A = np.asarray(mat)
     return float(np.sqrt(np.max(np.sum(A**2 / space.pi[None, :], axis=1))))
-
-
-def operator_norm_22(space, mat):
-    """Exact L2 -> L2 norm (largest singular value in the pi geometry)."""
-    half = np.sqrt(space.pi)
-    S = (half[:, None] * np.asarray(mat)) / half[None, :]
-    return float(np.linalg.norm(S, 2))
 
 
 @dataclass

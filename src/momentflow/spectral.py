@@ -109,6 +109,26 @@ def eig_sym(H, subset=None):
     return dec.validate(source=H)
 
 
+def _cgs2(cols):
+    """Orthonormalize a batch of matrices in place, column by column.
+
+    cols has shape (n, N, b): cols[j] holds column j of all b matrices, so
+    every update runs over contiguous rows.  Gram-Schmidt with one
+    reorthogonalization pass; the result is the Q factor of each matrix with
+    a positive diagonal of R.  Raises when the batch Gram defect exceeds
+    ORTHO_TOL.
+    """
+    for j, v in enumerate(cols):
+        for _ in range(2):
+            for q in cols[:j]:
+                v -= (q * v).sum(axis=0) * q
+        v /= np.sqrt((v * v).sum(axis=0))
+    defect = np.max([np.abs((cols[i] * cols[k]).sum(axis=0) - (i == k))
+                     for i in range(len(cols)) for k in range(i + 1)])
+    if not defect <= ORTHO_TOL:
+        raise RuntimeError(f"Gram-Schmidt lost orthonormality: defect {defect:.3g}")
+
+
 def stieltjes(dec, z):
     """Empirical Stieltjes transform (1/N) sum_k 1/(lambda_k - z) for Im z > 0."""
     z = complex(z)

@@ -193,6 +193,57 @@ def test_haar_kernel_entries():
     assert abs(est4 - oracle) <= 4 * math.hypot(se4, se_o)
 
 
+def test_haar_kernel_entries_reproducible_and_chunk_invariant():
+    pairs = [((0, 0, 1, 1), (2, 2, 3, 3)), ((1, 1, 1, 1), (1, 1, 1, 1)),
+             ((0, 1, 0, 1), (4, 4, 5, 5)), ((2, 2), (0, 0))]
+    samples = 10_000  # two full chunks of 4096 and a partial one
+    first = cs.haar_kernel_entries(6, pairs, samples, (3, 1))
+    assert first == cs.haar_kernel_entries(6, pairs, samples, (3, 1))
+    whole = cs.haar_kernel_entries(6, pairs, samples, (3, 1), chunk=samples)
+    assert np.max(np.abs(np.subtract(first, whole))) <= 1e-15
+
+
+def loops(sigma, tau):
+    """Number of cycles of the graph whose edges are the pairs of both matchings."""
+    seen, count = set(), 0
+    for start in range(len(sigma)):
+        if start in seen:
+            continue
+        count += 1
+        a = start
+        while a not in seen:
+            seen.update((a, sigma[a]))
+            a = tau[sigma[a]]
+    return count
+
+
+@pytest.mark.parametrize("N, n", [(6, 4), (5, 2), (4, 6)])
+def test_kernel_projection_matches_weingarten_oracle(N, n):
+    # <chi_sigma, chi_tau>_pi counts the configurations constant on every
+    # loop of sigma u tau, N^loops; its inverse is the orthogonal Weingarten
+    # matrix, and the projection onto span{chi} is X G^-1 X^T Pi.
+    sp = cs.enumerate_space(N, n)
+    sigmas = cs.matchings(n)
+    G = np.array([[float(N) ** loops(s, t) for t in sigmas] for s in sigmas])
+    X = cs.chi_matrix(sp)
+    assert np.max(np.abs(X.T @ (sp.pi[:, None] * X) - G)) <= 1e-12 * np.max(G)
+    oracle = X @ np.linalg.solve(G, X.T) * sp.pi[None, :]
+    assert np.max(np.abs(cs.kernel_projection(sp).dense() - oracle)) <= 1e-12
+
+
+# Every (N, n) that the test suite enumerates, and the DBM workload's space.
+ENUMERATED_SPACES = [(2, 2), (3, 2), (5, 2), (6, 2), (8, 2), (10, 2), (20, 2), (40, 2),
+                     (65, 2), (81, 2), (161, 2), (4, 4), (5, 4), (6, 4), (8, 4), (10, 4),
+                     (27, 4), (3, 6), (4, 6)]
+
+
+@pytest.mark.parametrize("N, n", ENUMERATED_SPACES)
+def test_enumeration_occupancies_and_weights(N, n):
+    sp = cs.enumerate_space(N, n)
+    assert np.array_equal(sp.occ, [cs.occupancies(x, N) for x in sp.configs])
+    assert np.array_equal(sp.pi, [float(cs.pi_weight(x, N)) for x in sp.configs])
+
+
 def test_kernel_spatial_invariance():
     sp = cs.enumerate_space(6, 4)
     K = cs.kernel_projection(sp).dense()

@@ -51,17 +51,6 @@ def test_endpoint_law_matches_direct_perturbation():
     assert ks <= 0.05
 
 
-def test_cgs2_matches_householder_and_guards_rank():
-    # Reference: Householder QR with the diagonal of R made positive.
-    A = stream(27).standard_normal((50, 5, 5))
-    Q, R = np.linalg.qr(A)
-    Q = Q * np.sign(np.einsum("bii->bi", R))[:, None, :]
-    assert np.max(np.abs(flow._cgs2(A) - Q)) <= 1e-12
-    A[7, :, 3] = 0.0
-    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="orthonormality"):
-        flow._cgs2(A)
-
-
 def test_align_frames_actions():
     U = spx.eig_sym(ens.sample_goe(12, 5)).frame
     assert np.allclose(flow.align_frames(U, U), U)

@@ -82,6 +82,39 @@ def test_eig_sym_subset_certifies_returned_columns(monkeypatch, defect, message)
         spx.eig_sym(H, subset=(30, 35))
 
 
+def householder_q(A):
+    """Q factors of the batch A (b, N, N) with the diagonal of R made positive."""
+    Q, R = np.linalg.qr(A)
+    return Q * np.sign(np.einsum("bii->bi", R))[:, None, :]
+
+
+def test_cgs2_matches_householder_and_guards_rank():
+    for N in (5, 6, 8):
+        A = stream(27, N).standard_normal((50, N, N))
+        cols = np.ascontiguousarray(A.transpose(2, 1, 0))  # cols[j, i, b] = A[b, i, j]
+        spx._cgs2(cols)
+        assert np.max(np.abs(cols.transpose(2, 1, 0) - householder_q(A))) <= 1e-12
+    cols = np.ascontiguousarray(A.transpose(2, 1, 0))
+    cols[3, :, 7] = 0.0
+    with np.errstate(invalid="ignore", divide="ignore"), \
+            pytest.raises(RuntimeError, match="orthonormality"):
+        spx._cgs2(cols)
+
+
+def test_cgs2_orthonormal_on_ill_conditioned_batch():
+    # Nearly dependent columns (condition numbers up to about 1e11): one
+    # Gram-Schmidt pass loses orthogonality in proportion to the condition
+    # number, the reorthogonalization restores it to rounding level.
+    N, b = 6, 40
+    A = stream(28).standard_normal((b, N, N))
+    A[:, :, 1] = A[:, :, 0] + np.logspace(-9, -3, b)[:, None] * A[:, :, 1]
+    cols = np.ascontiguousarray(A.transpose(2, 1, 0))
+    spx._cgs2(cols)
+    Q = cols.transpose(2, 1, 0)
+    gram = np.einsum("bik,bil->bkl", Q, Q)
+    assert np.max(np.abs(gram - np.eye(N))) <= 1e-14
+
+
 def test_stieltjes_values():
     assert spx.stieltjes(zero_dec(4), 1j) == pytest.approx(1j)
     dec1 = spx.SpectralDecomposition(np.array([2.0]), np.eye(1))
