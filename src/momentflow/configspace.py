@@ -107,6 +107,29 @@ class ConfigurationSpace:
                 writer.writerow([ix] + list(x) + [int(self.pi[ix])])
 
     @functools.cached_property
+    def _array(self):
+        """The configurations as a (size, n) integer array."""
+        return np.array(self.configs, dtype=np.int64)
+
+    @functools.cached_property
+    def _radix(self):
+        """Place values N^{n-1}, ..., 1 of the mixed-radix configuration code."""
+        return self.N ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
+
+    @functools.cached_property
+    def _codes(self):
+        """Codes x_1 N^{n-1} + ... + x_n, sorted because the enumeration is
+        lexicographic."""
+        return self._array @ self._radix
+
+    def _locate(self, codes):
+        """Indices of the configurations with the given codes, by binary search."""
+        ix = np.searchsorted(self._codes, codes)
+        if not np.array_equal(self._codes[np.minimum(ix, self.size - 1)], codes):
+            raise AssertionError("a configuration code is missing from the enumeration")
+        return ix
+
+    @functools.cached_property
     def _stencil(self):
         """The generator's off-diagonal pattern, built on first assembly."""
         return _build_stencil(self)
@@ -291,15 +314,9 @@ class _Stencil:
 
 
 def _build_stencil(space):
-    """Locate every move and exchange target through a mixed-radix code.
-
-    The enumeration is lexicographic, so the codes x_1 N^{n-1} + ... + x_n of
-    the configurations are sorted and a target's index is a binary search.
-    """
+    """Locate every move and exchange target through its configuration code."""
     N, n = space.N, space.n
-    X = np.array(space.configs, dtype=np.int64)
-    radix = N ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = X @ radix
+    X, radix, codes = space._array, space._radix, space._codes
     sites = np.arange(N)
     moves, swaps = [], []
     for a, b in itertools.combinations(range(n), 2):
@@ -318,10 +335,7 @@ def _build_stencil(space):
                       np.minimum(xa, xb), np.maximum(xa, xb),
                       np.full(rows.size, 2.0), np.ones(rows.size)))
     row, code, i, j, num, den = (np.concatenate(parts) for parts in zip(*moves, *swaps))
-    col = np.searchsorted(codes, code)
-    if not np.array_equal(codes[np.minimum(col, codes.size - 1)], code):
-        raise AssertionError("a jump target is missing from the enumeration")
-    return _Stencil(row=row, col=col, site=i * N + j, num=num, den=den,
+    return _Stencil(row=row, col=space._locate(code), site=i * N + j, num=num, den=den,
                     moves=sum(m[0].size for m in moves))
 
 
@@ -407,11 +421,6 @@ def matchings(n, stabilizing=None):
     return out
 
 
-def apply_label_permutation(sigma, x):
-    """(sigma . x)_a = x_{sigma(a)}."""
-    return tuple(x[sigma[a]] for a in range(len(x)))
-
-
 def stabilizer_matching_count(x):
     """|M_n ∩ Stab(x)|, which equals sqrt(pi(x))."""
     return len(matchings(len(x), stabilizing=x))
@@ -435,13 +444,14 @@ def chi_matrix(space):
     return X
 
 
-def pi_symmetrize(space, A):
-    """Symmetric part of Pi^{1/2} A Pi^{-1/2} for a dense matrix A.
+def pi_symmetrize(pi, A):
+    """Symmetric part of Pi^{1/2} A Pi^{-1/2} for a dense matrix A and the
+    measure values pi.
 
     For a pi-self-adjoint A the conjugate is already symmetric, with A's
     spectrum; symmetrizing removes the rounding so that eigh applies.
     """
-    half = np.sqrt(space.pi)
+    half = np.sqrt(pi)
     S = (half[:, None] * A) / half[None, :]
     return 0.5 * (S + S.T)
 
@@ -560,13 +570,21 @@ def compatible_permutations(partition, n):
 
 def conditional_expectation(space, partition):
     """Averaging operator over the block-compatible label action: an orthogonal
-    projection for the measure pi."""
+    projection for the measure pi, stored sparse.
+
+    A label permutation sigma maps x to sigma . x with (sigma . x)_a =
+    x_{sigma(a)}, which acts on the whole space as one index array, the
+    positions of the permuted codes X[:, sigma] @ radix.  Each entry is the
+    sum of equal weights 1/|perms|, so its rounding does not depend on the
+    order of the permutations.
+    """
     perms = compatible_permutations(partition, space.n)
-    weight = 1.0 / len(perms)
-    M = np.zeros((space.size, space.size))
-    for ix, x in enumerate(space.configs):
-        for sigma in perms:
-            M[ix, space.index[apply_label_permutation(sigma, x)]] += weight
+    X = space._array
+    cols = np.concatenate([space._locate(X[:, list(sigma)] @ space._radix)
+                           for sigma in perms])
+    rows = np.tile(np.arange(space.size), len(perms))
+    M = sp.csr_matrix((np.full(cols.size, 1.0 / len(perms)), (rows, cols)),
+                      shape=(space.size, space.size))
     return WeightedOperator(space, M, is_generator=False, is_pi_self_adjoint=True)
 
 

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sparse
 
 from . import ansatz as ansatz_mod
 from . import configspace as cs
@@ -171,7 +172,9 @@ class ExperimentConfig:
             if val is None:
                 continue
             if isinstance(val, EnsembleSpec):
-                out["ensemble"] = val.to_dict()
+                # Every suite draws its matrices from streams of cfg.seed and
+                # never reads the spec's own seed, so echo the seed in use.
+                out["ensemble"] = {**val.to_dict(), "seed": self.seed}
             elif isinstance(val, RegularityWindow):
                 out["window"] = {"E0": val.E0, "r": val.r, "eta-star": val.eta_star,
                                  "kappa": val.kappa, "C": val.C}
@@ -343,6 +346,36 @@ def _generator_validate_experiment(cfg):
     return checks, tables
 
 
+def _top_eigenvalue(pi, A):
+    """Largest eigenvalue of the pi-symmetrized dense A, from A's support only.
+
+    A configuration whose row and column of A are zero has a zero row and
+    column in the symmetrized matrix too, so it splits off as an exact
+    eigenvalue 0 and leaves the support block.
+    """
+    nz = A != 0.0
+    live = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
+    S = cs.pi_symmetrize(pi[live], A[np.ix_(live, live)])
+    top = float(np.linalg.eigvalsh(S)[-1]) if live.size else 0.0
+    return top if live.size == A.shape[0] else max(top, 0.0)
+
+
+def _stack_expectations(space, partitions):
+    """The partitions' conditional expectations E_P stacked into one sparse
+    (len(partitions) * size, size) matrix."""
+    return sparse.vstack([cs.conditional_expectation(space, part).mat
+                          for part in partitions], format="csr")
+
+
+def _commutation_defect(B, stacked):
+    """max |B E_P - E_P B| over the stacked E_P, with every commutator formed
+    in one sparse product: kron(I, B) stacked - stacked B."""
+    B = sparse.csr_matrix(B)
+    blocks = sparse.identity(stacked.shape[0] // B.shape[0], format="csr")
+    comm = sparse.kron(blocks, B, format="csr") @ stacked - stacked @ B
+    return float(np.max(np.abs(comm.data), initial=0.0))
+
+
 def _operator_suite_experiment(cfg):
     checks, tables = [], {}
     N, n = cfg.N, cfg.n
@@ -358,7 +391,7 @@ def _operator_suite_experiment(cfg):
     _bound_check(checks, "kernel-annihilation",
                  float(np.max(np.abs(B.mat @ X))), 1e-12)
 
-    evals = np.linalg.eigvalsh(cs.pi_symmetrize(space, B.dense()))
+    evals = np.linalg.eigvalsh(cs.pi_symmetrize(space.pi, B.dense()))
     _bound_check(checks, "top-eigenvalue", float(evals[-1]), 1e-10)
     null_dim = int(np.sum(np.abs(evals) <= 1e-10 * max(1.0, abs(evals[0]))))
     _check(checks, "nullspace-dimension", null_dim, X.shape[1], 0)
@@ -367,28 +400,18 @@ def _operator_suite_experiment(cfg):
     worst_gap = -math.inf
     for i in range(N):
         for j in range(i + 1, N):
-            E = cs.pair_generator(space, i, j, part="exchange-only")
-            M = cs.pair_generator(space, i, j, part="move-only")
-            Esym = cs.pi_symmetrize(space, E.dense())
-            Dsym = cs.pi_symmetrize(space, M.dense() - E.dense())
-            worst_exch = max(worst_exch, float(np.linalg.eigvalsh(Esym)[-1]))
-            worst_gap = max(worst_gap, float(np.linalg.eigvalsh(Dsym)[-1]))
+            E = cs.pair_generator(space, i, j, part="exchange-only").dense()
+            M = cs.pair_generator(space, i, j, part="move-only").dense()
+            worst_exch = max(worst_exch, _top_eigenvalue(space.pi, E))
+            worst_gap = max(worst_gap, _top_eigenvalue(space.pi, M - E))
     _bound_check(checks, "exchange-negative-semidefinite", worst_exch, 1e-10)
     _bound_check(checks, "move-below-exchange", worst_gap, 1e-10)
 
     if n == 4:
-        worst_comm = 0.0
-        # Built once for all pairs, and freed below before the Haar sampler,
-        # which sets this suite's peak memory.
-        expectations = [cs.conditional_expectation(space, part).dense()
-                        for part in cs.all_partitions(4)]
-        for i in range(N):
-            for j in range(i + 1, N):
-                Bij = cs.pair_generator(space, i, j).dense()
-                for EP in expectations:
-                    worst_comm = max(worst_comm,
-                                     float(np.max(np.abs(Bij @ EP - EP @ Bij))))
-        del expectations
+        stacked = _stack_expectations(space, cs.all_partitions(4))
+        worst_comm = max(
+            _commutation_defect(cs.pair_generator(space, i, j).mat, stacked)
+            for i in range(N) for j in range(i + 1, N))
         _bound_check(checks, "generator-expectation-commutation", worst_comm, 1e-12)
 
     stab_ok = all(

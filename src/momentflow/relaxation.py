@@ -115,7 +115,7 @@ def _range_mask(N, ell, window):
 
 def _symmetrized_eig(space, op):
     """Eigendecomposition of Pi^{1/2} A Pi^{-1/2}; valid for pi-self-adjoint A."""
-    w, Q = np.linalg.eigh(pi_symmetrize(space, op.dense()))
+    w, Q = np.linalg.eigh(pi_symmetrize(space.pi, op.dense()))
     return w, Q, np.sqrt(space.pi)
 
 
@@ -177,12 +177,13 @@ def propagate(space, schedule, f0, s1, s2, steps=64):
         return PropagationResult(space, np.array([s1]), f0[None, :].copy())
     times = np.linspace(s1, s2, steps + 1)
     if not schedule.time_dependent:
+        # U(s) f0 = Pi^{-1/2} Q e^{s w} Q^T Pi^{1/2} f0, without forming U(s).
         op = assemble_generator(space, schedule.coefficients(s1))
-        U = _propagator_factory(space, op)
+        w, Q, half = _symmetrized_eig(space, op)
+        g = Q.T @ (half * f0)
         snaps = np.empty((steps + 1, space.size))
         snaps[0] = f0
-        for k in range(1, steps + 1):
-            snaps[k] = U(times[k] - s1) @ f0
+        snaps[1:] = (np.exp(np.outer(times[1:] - s1, w)) * g) @ Q.T / half
         return PropagationResult(space, times, snaps)
 
     norm_inf = max(_inf_norm(assemble_generator(space, schedule.coefficients(s)))

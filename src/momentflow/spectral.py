@@ -113,9 +113,10 @@ def _cgs2(cols):
     """Orthonormalize a batch of matrices in place, column by column.
 
     cols has shape (n, N, b): cols[j] holds column j of all b matrices, so
-    every update runs over contiguous rows.  Gram-Schmidt with one
-    reorthogonalization pass; the result is the Q factor of each matrix with
-    a positive diagonal of R.  Raises when the batch Gram defect exceeds
+    every update runs over contiguous rows.  Modified Gram-Schmidt run twice:
+    each projection is taken against the already-updated column, and the
+    second pass reorthogonalizes.  The result is the Q factor of each matrix
+    with a positive diagonal of R.  Raises when the batch Gram defect exceeds
     ORTHO_TOL.
     """
     for j, v in enumerate(cols):

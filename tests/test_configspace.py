@@ -284,6 +284,40 @@ def test_conditional_expectation_properties():
         assert EP.reversibility_defect() <= 1e-12
 
 
+def apply_label_permutation(sigma, x):
+    """(sigma . x)_a = x_{sigma(a)}."""
+    return tuple(x[sigma[a]] for a in range(len(x)))
+
+
+def reference_conditional_expectation(sp, partition):
+    """E_P built one configuration and one permutation at a time, through the
+    space's tuple index."""
+    perms = cs.compatible_permutations(partition, sp.n)
+    M = np.zeros((sp.size, sp.size))
+    for ix, x in enumerate(sp.configs):
+        for sigma in perms:
+            M[ix, sp.idx(apply_label_permutation(sigma, x))] += 1.0 / len(perms)
+    return M
+
+
+# Every n = 4 space in ENUMERATED_SPACES with all 15 partitions, and a few
+# partitions of six labels on Lambda^6_5.
+LABEL_ACTION_CASES = (
+    [((N, 4), P) for N in (4, 5, 6, 8, 10, 27) for P in cs.all_partitions(4)]
+    + [((5, 6), P) for P in ([[0, 1], [2, 3], [4, 5]], [[0, 2, 4], [1, 3, 5]],
+                             [[0, 1, 2, 5], [3], [4]])])
+
+
+@pytest.mark.parametrize(
+    "space, partition", LABEL_ACTION_CASES,
+    ids=[f"{N}-{n}-" + "|".join("".join(map(str, b)) for b in P)
+         for (N, n), P in LABEL_ACTION_CASES])
+def test_conditional_expectation_matches_label_action_reference(space, partition):
+    sp = cs.enumerate_space(*space)
+    EP = cs.conditional_expectation(sp, partition)
+    assert np.array_equal(EP.dense(), reference_conditional_expectation(sp, partition))
+
+
 def test_generator_expectation_commutation():
     sp = cs.enumerate_space(5, 4)
     partitions = cs.all_partitions(4)

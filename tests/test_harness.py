@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from momentflow import configspace as cs
 from momentflow import ensembles as ens
 from momentflow import harness
 from momentflow.harness import (
@@ -42,6 +43,33 @@ def test_operator_suite_small():
     assert len(names) == len(set(names))  # every check appears exactly once
     assert rep.all_passed
     assert "haar-crosscheck" in rep.tables
+
+
+@pytest.mark.parametrize("N", [6, 8])
+def test_sparse_operator_checks_match_dense_loop(N):
+    # operator-suite's sparse commutation defect and support-restricted top
+    # eigenvalues against the dense products and full eigvalsh per pair.
+    sp = cs.enumerate_space(N, 4)
+    partitions = cs.all_partitions(4)
+    stacked = harness._stack_expectations(sp, partitions)
+    expectations = [cs.conditional_expectation(sp, P).dense() for P in partitions]
+    for i in range(N):
+        for j in range(i + 1, N):
+            Bij = cs.pair_generator(sp, i, j).dense()
+            dense_defect = max(float(np.max(np.abs(Bij @ EP - EP @ Bij)))
+                               for EP in expectations)
+            defect = harness._commutation_defect(Bij, stacked)
+            assert abs(defect - dense_defect) <= 1e-15
+            assert defect <= 1e-12
+            E = cs.pair_generator(sp, i, j, part="exchange-only").dense()
+            M = cs.pair_generator(sp, i, j, part="move-only").dense()
+            for A in (E, M - E):
+                assert np.any(np.all(A == 0.0, axis=1))
+                full = np.linalg.eigvalsh(cs.pi_symmetrize(sp.pi, A))[-1]
+                assert abs(harness._top_eigenvalue(sp.pi, A) - full) <= 1e-14
+    # A zero row adds the eigenvalue 0 above a negative definite support.
+    assert harness._top_eigenvalue(np.ones(3), np.diag([-1.0, 0.0, -2.0])) == 0.0
+    assert harness._top_eigenvalue(np.ones(2), np.diag([-1.0, -2.0])) == -1.0
 
 
 def test_fsp_experiment_passes():
@@ -162,6 +190,26 @@ def test_cli_end_to_end(tmp_path):
     assert "PASS far-field" in proc.stdout
     assert (out_dir / "summary.json").exists()
     assert (out_dir / "profile.csv").exists()
+
+
+def test_cli_seed_override_reaches_ensemble_echo(tmp_path):
+    # --seed replaces the config file's seed after the config is built; the
+    # echoed ensemble seed must be the one the run drew from, and the run
+    # must equal one configured with that seed directly.
+    base = {"kind": "assumptions", "N": 40, "record_runtime": False}
+    summaries = []
+    for name, file_seed, argv in (("override", 3, ["--seed", "9"]), ("direct", 9, [])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**base, "seed": file_seed}))
+        out_dir = tmp_path / name
+        assert harness.main(["assumptions", "--config", str(path), "--out", str(out_dir),
+                             *argv]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["config"].pop("out") == str(out_dir)
+        summaries.append(summary)
+    assert summaries[0]["config"]["seed"] == 9
+    assert summaries[0]["config"]["ensemble"]["seed"] == 9
+    assert summaries[0] == summaries[1]
 
 
 def test_cli_help_documents_columns():

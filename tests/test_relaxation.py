@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
+from scipy.linalg import expm
 
 from momentflow import configspace as cs
 from momentflow import relaxation as rx
@@ -62,6 +63,19 @@ def test_propagate_l1_bound_delta():
         res = rx.propagate(sp, sched, sp.delta(x), 0.0, s, steps=4)
         for f in res.snapshots:
             assert sp.norm_l1(f) <= bound + 1e-9
+
+
+@pytest.mark.parametrize("N, n", [(6, 4), (10, 2)])
+def test_propagate_constant_matches_expm(N, n):
+    sp = cs.enumerate_space(N, n)
+    sched = random_schedule(N, (7, N, n))
+    B = cs.assemble_generator(sp, sched.coefficients()).dense()
+    f0 = stream(8, N, n).standard_normal(sp.size)
+    res = rx.propagate(sp, sched, f0, 0.1, 0.6, steps=5)
+    assert np.array_equal(res.snapshots[0], f0)
+    for s, f in zip(res.times, res.snapshots):
+        exact = expm((s - 0.1) * B) @ f0
+        assert np.max(np.abs(f - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_propagate_time_dependent_matches_constant():
