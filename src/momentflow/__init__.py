@@ -42,7 +42,6 @@ from .configspace import (
     ConfigurationSpace,
     WeightedOperator,
     assemble_generator,
-    averaging_coefficients,
     chi_indicator,
     colorblind_transport,
     conditional_expectation,

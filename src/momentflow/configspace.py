@@ -1,14 +1,15 @@
 """Even particle configurations, the reversible measure, move/exchange
 operators, kernel projections, conditional expectations, local projections,
-averaging coefficients, configuration distance, and the colorblind map.
+averaging values, configuration distance, and the colorblind map.
 
 Sites are 0-based: a configuration is a tuple x in {0..N-1}^n, and membership
 in the even space requires every site occupancy to be even.  Functions over a
 space are numpy arrays indexed by the space's enumeration order, which is
-lexicographic and therefore reproducible.
+lexicographic and therefore reproducible.  Helpers over a whole space read
+label structure through each configuration's mixed-radix code and the bitmask
+of its tied label pairs, not by looping over configurations in Python.
 """
 
-import csv
 import functools
 import itertools
 import math
@@ -63,13 +64,12 @@ def count_even_configurations(N, n):
 
 @dataclass
 class ConfigurationSpace:
-    """Enumerated even configuration space with measure pi and index maps."""
+    """Enumerated even configuration space with measure pi and site occupancies."""
 
     N: int
     n: int
     configs: list
     pi: np.ndarray
-    index: dict = field(repr=False)
     occ: np.ndarray = field(repr=False)
 
     @property
@@ -77,7 +77,19 @@ class ConfigurationSpace:
         return len(self.configs)
 
     def idx(self, x):
-        return self.index[tuple(x)]
+        """Position of x in the enumeration, found by its code; KeyError when
+        x is not a configuration of the space."""
+        key = tuple(x)
+        a = np.array(key)
+        # The code identifies x only for n sites in [0, N).
+        if (a.shape != (self.n,) or a.dtype.kind not in "iu"
+                or not np.all((0 <= a) & (a < self.N))):
+            raise KeyError(key)
+        code = a.astype(np.int64) @ self._radix
+        ix = int(np.searchsorted(self._codes, code))
+        if ix == self.size or self._codes[ix] != code:
+            raise KeyError(key)
+        return ix
 
     def delta(self, x):
         """delta_x with the <delta_x, f> = f(x) normalization."""
@@ -97,14 +109,6 @@ class ConfigurationSpace:
 
     def inner(self, f, g):
         return float(np.sum(self.pi * np.asarray(f) * np.asarray(g)))
-
-    def to_csv(self, path):
-        """Write the enumeration: index, x_1..x_n, pi."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index"] + [f"x{a+1}" for a in range(self.n)] + ["pi"])
-            for ix, x in enumerate(self.configs):
-                writer.writerow([ix] + list(x) + [int(self.pi[ix])])
 
     @functools.cached_property
     def _array(self):
@@ -130,9 +134,23 @@ class ConfigurationSpace:
         return ix
 
     @functools.cached_property
+    def _ties(self):
+        """Row r is the pair mask of configuration r: the bit of pair a < b is
+        set when x_a = x_b.  Equal rows mean equal position partitions."""
+        X = self._array
+        return _pair_mask(X[:, :, None] == X[:, None, :])
+
+    @functools.cached_property
     def _stencil(self):
         """The generator's off-diagonal pattern, built on first assembly."""
         return _build_stencil(self)
+
+
+def _pair_mask(tied):
+    """Bits of the label pairs a < b with tied[..., a, b], packed little-endian
+    into bytes along the last axis; bitwise AND and NOT act as set operations."""
+    a, b = np.triu_indices(tied.shape[-1], 1)
+    return np.packbits(tied[..., a, b], axis=-1, bitorder="little")
 
 
 def _even_part_multisets(n):
@@ -211,8 +229,7 @@ def enumerate_space(N, n, size_guard=SIZE_GUARD):
     weights = np.array([double_factorial(k) ** 2 if k % 2 == 0 else 0
                         for k in range(n + 1)], dtype=np.int64)
     pi = np.prod(weights[occ], axis=1).astype(float)
-    index = {x: i for i, x in enumerate(configs)}
-    return ConfigurationSpace(N=N, n=n, configs=configs, pi=pi, index=index, occ=occ)
+    return ConfigurationSpace(N=N, n=n, configs=configs, pi=pi, occ=occ)
 
 
 def jump(x, kind, a, b, i, j):
@@ -276,13 +293,6 @@ class WeightedOperator:
         if self.is_pi_self_adjoint and self.reversibility_defect() > tol * scale:
             raise AssertionError("pi-self-adjointness flag violated")
         return self
-
-    def to_triplets(self, path):
-        """Write 'row col value' lines for external inspection."""
-        A = self.mat.tocoo() if sp.issparse(self.mat) else sp.coo_matrix(self.mat)
-        with open(path, "w") as fh:
-            for r, c, v in zip(A.row, A.col, A.data):
-                fh.write(f"{int(r)} {int(c)} {float(v)!r}\n")
 
 
 @dataclass(frozen=True)
@@ -427,21 +437,23 @@ def stabilizer_matching_count(x):
 
 
 def chi_indicator(space, sigma):
-    """Stratum indicator chi_sigma(x) = 1{sigma . x = x} / sqrt(pi(x))."""
+    """Stratum indicator chi_sigma(x) = 1{sigma . x = x} / sqrt(pi(x)).
+
+    sigma fixes x exactly when every pair {a, sigma(a)} is tied in x, that is
+    when the pair mask of sigma is contained in that of x.
+    """
+    moved = np.zeros((space.n, space.n), dtype=bool)
+    moved[np.arange(space.n), sigma] = True
+    want = _pair_mask(moved | moved.T)
+    fixed = np.all((space._ties & want) == want, axis=1)
     f = np.zeros(space.size)
-    for ix, x in enumerate(space.configs):
-        if all(x[sigma[a]] == x[a] for a in range(space.n)):
-            f[ix] = 1.0 / math.sqrt(space.pi[ix])
+    f[fixed] = 1.0 / np.sqrt(space.pi[fixed])
     return f
 
 
 def chi_matrix(space):
     """Columns chi_sigma for sigma in M_n, in matchings() order."""
-    sigmas = matchings(space.n)
-    X = np.empty((space.size, len(sigmas)))
-    for k, sigma in enumerate(sigmas):
-        X[:, k] = chi_indicator(space, sigma)
-    return X
+    return np.column_stack([chi_indicator(space, sigma) for sigma in matchings(space.n)])
 
 
 def pi_symmetrize(pi, A):
@@ -469,8 +481,8 @@ def kernel_projection(space):
 
 def delta_pairing(space, op, x, y):
     """<delta_x, A delta_y> for a WeightedOperator A."""
-    A = op.dense()
-    return A[space.idx(x), space.idx(y)] / space.pi[space.idx(y)]
+    i, j = space.idx(x), space.idx(y)
+    return op.mat[i, j] / space.pi[j]
 
 
 def haar_kernel_entries(N, pairs, samples, seed, chunk=4096):
@@ -588,30 +600,6 @@ def conditional_expectation(space, partition):
     return WeightedOperator(space, M, is_generator=False, is_pi_self_adjoint=True)
 
 
-def position_partition_signature(x):
-    """Canonical signature of the position partition: labels sharing a site
-    share a symbol."""
-    first = {}
-    sig = []
-    for site in x:
-        if site not in first:
-            first[site] = len(first)
-        sig.append(first[site])
-    return tuple(sig)
-
-
-def signature_refines(sig_z, sig_x):
-    """True when the position partition of z refines that of x."""
-    image = {}
-    for a, s in enumerate(sig_z):
-        if s in image:
-            if sig_x[a] != image[s]:
-                return False
-        else:
-            image[s] = sig_x[a]
-    return True
-
-
 def site_classes(N, y, ell):
     """Site equivalence generated by the open radius-ell balls at the particle
     positions of y; sites outside every ball are singletons.
@@ -641,12 +629,7 @@ def site_classes(N, y, ell):
 def local_neighborhood(space, y, ell):
     """Indices of configurations x with x_a ~ y_a for every label a."""
     classes = site_classes(space.N, tuple(y), ell)
-    y = tuple(y)
-    out = []
-    for ix, x in enumerate(space.configs):
-        if all(classes[x[a]] == classes[y[a]] for a in range(space.n)):
-            out.append(ix)
-    return np.array(out, dtype=np.intp)
+    return np.flatnonzero(np.all(classes[space._array] == classes[np.asarray(y)], axis=1))
 
 
 def local_projection(space, y, ell):
@@ -656,15 +639,20 @@ def local_projection(space, y, ell):
     whose position partition refines that of x; rows and columns outside the
     neighborhood are zero.  P fixes the restricted stratum indicators but is
     not self-adjoint.
+
+    z refines x exactly when the pair mask of z is contained in that of x, so
+    rows with equal masks share their columns; there are at most Bell(n)
+    distinct masks.
     """
     loc = local_neighborhood(space, y, ell)
-    sigs = [position_partition_signature(space.configs[ix]) for ix in loc]
+    masks, kind = np.unique(space._ties[loc], axis=0, return_inverse=True)
+    # refines[c, r]: the configurations of mask c refine those of mask r.
+    refines = np.all((masks[:, None, :] & ~masks[None, :, :]) == 0, axis=2)
     M = np.zeros((space.size, space.size))
-    for r, ix in enumerate(loc):
-        mask = np.array([signature_refines(sigs[c], sigs[r]) for c in range(len(loc))])
-        cols = loc[mask]
+    for r in range(len(masks)):
+        cols = loc[refines[kind, r]]
         weights = space.pi[cols]
-        M[ix, cols] = weights / weights.sum()
+        M[np.ix_(loc[kind == r], cols)] = weights / weights.sum()
     return WeightedOperator(space, M, is_generator=False, is_pi_self_adjoint=False)
 
 
@@ -686,13 +674,6 @@ def averaging_values(space, K, y):
     return np.clip((2 * K - 1 - d) / K, 0.0, 1.0)
 
 
-def averaging_coefficients(space, K, y):
-    """Diagonal operator with the averaging values on the diagonal."""
-    vals = averaging_values(space, K, y)
-    return WeightedOperator(space, np.diag(vals), is_generator=False,
-                            is_pi_self_adjoint=True)
-
-
 def config_distance(x, y, window):
     """Regular configuration distance sup_a |window ∩ [min(x_a,y_a), max(x_a,y_a))|.
 
@@ -709,12 +690,12 @@ def config_distance(x, y, window):
 
 
 def occupancy_fibers(space):
-    """Group configuration indices by their colorblind image (occupancy pattern)."""
-    fibers = {}
-    for ix in range(space.size):
-        key = tuple(int(k) // 2 for k in space.occ[ix])
-        fibers.setdefault(key, []).append(ix)
-    return {k: np.array(v, dtype=np.intp) for k, v in fibers.items()}
+    """Group configuration indices by their colorblind image (occupancy
+    pattern), in order of first appearance."""
+    keys, first, fiber = np.unique(space.occ // 2, axis=0, return_index=True,
+                                   return_inverse=True)
+    members = np.split(np.argsort(fiber, kind="stable"), np.cumsum(np.bincount(fiber))[:-1])
+    return {tuple(keys[k].tolist()): members[k] for k in np.argsort(first)}
 
 
 def colorblind_image(x, N):

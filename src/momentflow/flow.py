@@ -260,29 +260,3 @@ def estimate_moment(req, threads=1):
     est = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
     return est, stderr
-
-
-def write_moment_report(req, values, csv_path, json_path):
-    """Stream per-trial values to CSV rows (trial, value) plus a JSON summary."""
-    import csv as _csv
-    import json as _json
-
-    values = np.asarray(values, dtype=float)
-    with open(csv_path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["trial", "value"])
-        for k, v in enumerate(values.tolist()):
-            writer.writerow([k, v])
-    summary = {
-        "configuration": list(req.configuration),
-        "t": req.t,
-        "trials": int(values.size),
-        "seed": req.seed,
-        "estimate": float(values.mean()),
-        "stderr": float(values.std(ddof=1) / math.sqrt(values.size))
-        if values.size > 1 else 0.0,
-    }
-    with open(json_path, "w") as fh:
-        _json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, json_path

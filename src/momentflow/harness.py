@@ -407,12 +407,11 @@ def _operator_suite_experiment(cfg):
     _bound_check(checks, "exchange-negative-semidefinite", worst_exch, 1e-10)
     _bound_check(checks, "move-below-exchange", worst_gap, 1e-10)
 
-    if n == 4:
-        stacked = _stack_expectations(space, cs.all_partitions(4))
-        worst_comm = max(
-            _commutation_defect(cs.pair_generator(space, i, j).mat, stacked)
-            for i in range(N) for j in range(i + 1, N))
-        _bound_check(checks, "generator-expectation-commutation", worst_comm, 1e-12)
+    stacked = _stack_expectations(space, cs.all_partitions(n))
+    worst_comm = max(
+        _commutation_defect(cs.pair_generator(space, i, j).mat, stacked)
+        for i in range(N) for j in range(i + 1, N))
+    _bound_check(checks, "generator-expectation-commutation", worst_comm, 1e-12)
 
     stab_ok = all(
         cs.stabilizer_matching_count(x) == round(math.sqrt(space.pi[ix]))

@@ -7,7 +7,6 @@ representation, so every reported bound is a certificate rather than an
 estimate from power iteration.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ from .configspace import (
     local_neighborhood,
     local_projection,
     pi_symmetrize,
+    site_classes,
 )
 
 DENSE_SOLVE_GUARD = 3000
@@ -230,7 +230,7 @@ def dirichlet_form_pairs(space, generator, f):
 
 
 def _local_dirichlet_matrix(space, schedule, y, ell, s):
-    classes = _site_class_vector(space, y, ell)
+    classes = site_classes(space.N, tuple(y), ell)
     C = schedule.coefficients(s).copy()
     same = classes[:, None] == classes[None, :]
     C[~same] = 0.0
@@ -241,12 +241,6 @@ def _local_dirichlet_matrix(space, schedule, y, ell, s):
     pi_loc = space.pi[loc]
     D = -(pi_loc[:, None] * A)
     return loc, pi_loc, 0.5 * (D + D.T)
-
-
-def _site_class_vector(space, y, ell):
-    from .configspace import site_classes
-
-    return site_classes(space.N, tuple(y), ell)
 
 
 def poincare_constant(space, y, ell, schedule, s=0.0):
@@ -426,11 +420,3 @@ def l1_growth(space, schedule, s_grid):
             prev = s
         out[k] = operator_norm_11(space, mat)
     return list(zip(s_grid.tolist(), out.tolist()))
-
-
-def write_table(path, headers, rows):
-    """CSV emission shared by the relaxation tables."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(headers)
-        writer.writerows(rows)

@@ -59,6 +59,17 @@ def test_enumeration_guard():
         cs.enumerate_space(200, 6, size_guard=10**6)
 
 
+def test_idx_rejects_configurations_outside_the_space():
+    sp = cs.enumerate_space(5, 4)
+    assert [sp.idx(x) for x in sp.configs] == list(range(sp.size))
+    # (0, 0, 5, 5) has the code 5 * 5 + 5 = 30 of (0, 1, 1, 0), which is in
+    # the space; only the site range check tells them apart.
+    assert sp.idx((0, 1, 1, 0)) == sp.configs.index((0, 1, 1, 0))
+    for x in [(0, 0, 5, 5), (0, 0, 1), (0, 0, 1, 1, 2, 2), (-1, -1, 0, 0), (0, 0, 0, 1)]:
+        with pytest.raises(KeyError):
+            sp.idx(x)
+
+
 def test_pi_weights():
     assert cs.pi_weight((3, 3, 3, 3), 10) == 9
     assert cs.pi_weight((0, 0, 1, 1), 4) == 1
@@ -149,6 +160,10 @@ def test_chi_indicator_values():
     chi2 = cs.chi_indicator(sp, other)
     assert chi2[sp.idx((0, 0, 1, 1))] == 0.0
     assert chi[sp.idx((2, 2, 2, 2))] == pytest.approx(1.0 / 3.0)
+    # Any permutation, not only a matching, fixes x when x is constant on its cycles.
+    for sigma in [(1, 2, 0, 3), (3, 2, 0, 1), (0, 1, 2, 3)]:
+        fixed = [all(x[sigma[a]] == x[a] for a in range(4)) for x in sp.configs]
+        assert np.array_equal(cs.chi_indicator(sp, sigma) > 0, fixed)
 
 
 def test_kernel_projection_structure():
@@ -290,13 +305,14 @@ def apply_label_permutation(sigma, x):
 
 
 def reference_conditional_expectation(sp, partition):
-    """E_P built one configuration and one permutation at a time, through the
-    space's tuple index."""
+    """E_P built one configuration and one permutation at a time, through a
+    tuple index of its own rather than the space's code lookup."""
+    index = {x: i for i, x in enumerate(sp.configs)}
     perms = cs.compatible_permutations(partition, sp.n)
     M = np.zeros((sp.size, sp.size))
     for ix, x in enumerate(sp.configs):
         for sigma in perms:
-            M[ix, sp.idx(apply_label_permutation(sigma, x))] += 1.0 / len(perms)
+            M[ix, index[apply_label_permutation(sigma, x)]] += 1.0 / len(perms)
     return M
 
 
@@ -410,23 +426,6 @@ def test_colorblind_transport():
     assert np.max(np.abs(B @ Pr - Pr @ B)) <= 1e-12
 
 
-def test_operator_export_and_space_csv(tmp_path):
-    sp = cs.enumerate_space(3, 2)
-    B = cs.assemble_generator(sp, random_coeffs(3, 12))
-    path = tmp_path / "op.txt"
-    B.to_triplets(path)
-    rows = [line.split() for line in open(path)]
-    M = np.zeros((sp.size, sp.size))
-    for r, c, v in rows:
-        M[int(r), int(c)] += float(v)
-    assert np.allclose(M, B.dense())
-    csv_path = tmp_path / "space.csv"
-    sp.to_csv(csv_path)
-    lines = open(csv_path).read().strip().splitlines()
-    assert lines[0] == "index,x1,x2,pi"
-    assert len(lines) == sp.size + 1
-
-
 # Every (N, n) the suite enumerates, plus one space above the dense cutoff.
 REFERENCE_SPACES = [(2, 2), (3, 2), (5, 2), (6, 2), (8, 2), (10, 2), (20, 2), (40, 2),
                     (65, 2), (81, 2), (161, 2), (4, 4), (5, 4), (6, 4), (10, 4),
@@ -439,8 +438,10 @@ def reference_parts(space, C):
     Each ordered label pair (a, b) on one site i moves to every j != i with
     weight c_ij (n_j+1)/(n_i-1); on sites i != j it swaps with weight c_ij.
     The two orderings of a pair reach the same y, so the sums carry the
-    documented move weight 2 (n_j+1)/(n_i-1) and exchange weight 2.
+    documented move weight 2 (n_j+1)/(n_i-1) and exchange weight 2.  Targets
+    are found through a tuple index of its own, not the space's code lookup.
     """
+    index = {x: i for i, x in enumerate(space.configs)}
     move, swap = {}, {}
     for ix, x in enumerate(space.configs):
         occ = space.occ[ix]
@@ -449,11 +450,11 @@ def reference_parts(space, C):
             if i == k:
                 for j in range(space.N):
                     if j != i:
-                        key = (ix, space.idx(cs.jump(x, "move", a, b, i, j)))
+                        key = (ix, index[cs.jump(x, "move", a, b, i, j)])
                         w = C[i, j] * (occ[j] + 1.0) / (occ[i] - 1.0)
                         move[key] = move.get(key, 0.0) + w
             else:
-                key = (ix, space.idx(cs.jump(x, "swap", a, b, i, k)))
+                key = (ix, index[cs.jump(x, "swap", a, b, i, k)])
                 swap[key] = swap.get(key, 0.0) + C[i, k]
     return move, swap
 

@@ -189,25 +189,6 @@ def test_moment_samples_match_full_solve(x, t):
     assert np.max(np.abs(flow.moment_samples(req) - expected)) <= 1e-12
 
 
-def test_moment_report_files(tmp_path):
-    N = 20
-    v, w = _unit_pair(N, 25)
-    req = flow.MomentRequest(configuration=(N // 2, N // 2),
-                             vectors=np.stack([v, w], axis=1),
-                             ensemble=ens.EnsembleSpec(kind="goe", N=N, seed=5),
-                             t=0.0, trials=16, seed=9)
-    values = flow.moment_samples(req)
-    csv_path, json_path = flow.write_moment_report(
-        req, values, tmp_path / "trials.csv", tmp_path / "summary.json")
-    lines = open(csv_path).read().strip().splitlines()
-    assert lines[0] == "trial,value"
-    assert len(lines) == 17
-    import json
-    summary = json.load(open(json_path))
-    assert summary["trials"] == 16
-    assert summary["estimate"] == pytest.approx(values.mean())
-
-
 def test_moment_threads_deterministic():
     N = 30
     v, w = _unit_pair(N, 24)

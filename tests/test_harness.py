@@ -45,6 +45,16 @@ def test_operator_suite_small():
     assert "haar-crosscheck" in rep.tables
 
 
+def test_operator_suite_six_labels():
+    # The exact commutation check runs over all 203 partitions of [6].
+    cfg = ExperimentConfig(kind="operator-suite", N=5, n=6,
+                           haar_samples=30_000, l1_trials=4)
+    rep = run_experiment(cfg)
+    assert rep.all_passed
+    comm = [c for c in rep.checks if c.name == "generator-expectation-commutation"]
+    assert len(comm) == 1 and comm[0].value <= 1e-12
+
+
 @pytest.mark.parametrize("N", [6, 8])
 def test_sparse_operator_checks_match_dense_loop(N):
     # operator-suite's sparse commutation defect and support-restricted top

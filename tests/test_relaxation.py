@@ -279,11 +279,3 @@ def test_l1_growth_curve():
     for s in (0.1, 0.5, 1.0):
         U = (Q * np.exp(s * w)) @ Q.T * (half[None, :] / half[:, None])
         assert rx.operator_norm_11(sp, U) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_table_write(tmp_path):
-    path = tmp_path / "t.csv"
-    rx.write_table(path, ["s", "value"], [(0.0, 1.0), (0.5, 2.0)])
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "s,value"
-    assert len(lines) == 3
