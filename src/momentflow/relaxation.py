@@ -14,6 +14,7 @@ import numpy as np
 
 from .configspace import (
     assemble_generator,
+    config_distance,
     kernel_projection,
     local_neighborhood,
     local_projection,
@@ -119,13 +120,16 @@ def _symmetrized_eig(space, op):
     return w, Q, np.sqrt(space.pi)
 
 
-def _propagator_factory(space, op):
-    w, Q, half = _symmetrized_eig(space, op)
+def _eig_apply(eig, F, s):
+    """e^{sA} F = Pi^{-1/2} Q e^{s w} Q^T Pi^{1/2} F for eig = (w, Q, half).
 
-    def U(s):
-        return (Q * np.exp(s * w)) @ Q.T * (half[None, :] / half[:, None])
-
-    return U
+    F is a vector, or a matrix whose columns are each applied; results come
+    back as rows, so a matrix gives (e^{sA} F)^T.  For a vector, s may be an
+    array of times, one row each.
+    """
+    w, Q, half = eig
+    g = (F.T * half) @ Q
+    return (np.exp(np.multiply.outer(s, w)) * g) @ Q.T / half
 
 
 def operator_norm_11(space, mat):
@@ -149,14 +153,6 @@ class PropagationResult:
     times: np.ndarray
     snapshots: np.ndarray
 
-    def norms(self):
-        """Rows of (s, l1, l2, linf)."""
-        rows = []
-        for s, f in zip(self.times, self.snapshots):
-            rows.append((float(s), self.space.norm_l1(f), self.space.norm_l2(f),
-                         self.space.norm_linf(f)))
-        return rows
-
     @property
     def final(self):
         return self.snapshots[-1]
@@ -165,10 +161,12 @@ class PropagationResult:
 def propagate(space, schedule, f0, s1, s2, steps=64):
     """Solve d/ds f = B(s) f from s1 to s2 with `steps` snapshots.
 
-    Time-constant schedules use the exact matrix-exponential path.  Time
-    varying ones integrate with classical fourth-order stages, reassembling
-    the generator per stage; the step count must satisfy the stability bound
-    steps >= (s2 - s1) * ||B||_inf * 4.
+    Time-constant schedules apply e^{(s - s1) B} exactly in the eigenbasis of
+    the pi-symmetrized generator.  Time-varying ones march one classical RK4
+    that reassembles the generator at each stage time.  The step count must
+    satisfy the stability rule steps >= 4 (s2 - s1) ||B||_inf: it is checked
+    at s1 and s2 before the march, and 4 h ||B||_inf <= 1 is checked on every
+    stage matrix during it.
     """
     f0 = np.asarray(f0, dtype=float)
     if s2 < s1:
@@ -176,39 +174,58 @@ def propagate(space, schedule, f0, s1, s2, steps=64):
     if s2 == s1:
         return PropagationResult(space, np.array([s1]), f0[None, :].copy())
     times = np.linspace(s1, s2, steps + 1)
-    if not schedule.time_dependent:
-        # U(s) f0 = Pi^{-1/2} Q e^{s w} Q^T Pi^{1/2} f0, without forming U(s).
-        op = assemble_generator(space, schedule.coefficients(s1))
-        w, Q, half = _symmetrized_eig(space, op)
-        g = Q.T @ (half * f0)
-        snaps = np.empty((steps + 1, space.size))
-        snaps[0] = f0
-        snaps[1:] = (np.exp(np.outer(times[1:] - s1, w)) * g) @ Q.T / half
-        return PropagationResult(space, times, snaps)
-
-    norm_inf = max(_inf_norm(assemble_generator(space, schedule.coefficients(s)))
-                   for s in (s1, s2))
-    required = (s2 - s1) * norm_inf * 4.0
-    if steps < required:
-        raise ValueError(
-            f"stability bound violated: need steps >= {math.ceil(required)}, got {steps}"
-        )
-    h = (s2 - s1) / steps
     snaps = np.empty((steps + 1, space.size))
     snaps[0] = f0
-    f = f0.copy()
-    for k in range(steps):
-        s = times[k]
-        A1 = assemble_generator(space, schedule.coefficients(s)).mat
-        A2 = assemble_generator(space, schedule.coefficients(s + 0.5 * h)).mat
-        A4 = assemble_generator(space, schedule.coefficients(s + h)).mat
+    if not schedule.time_dependent:
+        op = assemble_generator(space, schedule.coefficients(s1))
+        snaps[1:] = _eig_apply(_symmetrized_eig(space, op), f0, times[1:] - s1)
+        return PropagationResult(space, times, snaps)
+
+    required = _stable_steps(space, schedule, s1, s2)
+    if steps < required:
+        raise ValueError(f"stability bound violated: need steps >= {required}, got {steps}")
+    for k, f in enumerate(_rk4(space, schedule, f0, times), start=1):
+        snaps[k] = f
+    return PropagationResult(space, times, snaps)
+
+
+def _stable_steps(space, schedule, s1, s2):
+    """Least step count meeting steps >= 4 (s2 - s1) ||B(s)||_inf at s = s1, s2."""
+    norm_inf = max(_inf_norm(assemble_generator(space, schedule.coefficients(s)))
+                   for s in (s1, s2))
+    return math.ceil((s2 - s1) * norm_inf * 4.0)
+
+
+def _inf_norm(op):
+    """||B||_inf, the largest absolute row sum, read off the stored entries."""
+    return float(np.max(abs(op.mat).sum(axis=1)))
+
+
+def _stage(space, schedule, s, h):
+    """B(s)'s stored matrix, once 4 h ||B(s)||_inf <= 1 holds for it."""
+    op = assemble_generator(space, schedule.coefficients(s))
+    bound = 4.0 * h * _inf_norm(op)
+    if bound > 1.0:
+        raise ValueError(
+            f"stability bound violated at stage time {s:.6g}: 4 h ||B||_inf = {bound:.6g} > 1"
+        )
+    return op.mat
+
+
+def _rk4(space, schedule, f, times):
+    """Yield the state after each classical RK4 step of d/ds f = B(s) f along
+    the equally spaced `times`; f is a vector or a matrix of columns."""
+    h = (times[-1] - times[0]) / (len(times) - 1)
+    for s in times[:-1]:
+        A1 = _stage(space, schedule, s, h)
+        A2 = _stage(space, schedule, s + 0.5 * h, h)
+        A4 = _stage(space, schedule, s + h, h)
         k1 = A1 @ f
         k2 = A2 @ (f + 0.5 * h * k1)
         k3 = A2 @ (f + 0.5 * h * k2)
         k4 = A4 @ (f + h * k3)
         f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        snaps[k + 1] = f
-    return PropagationResult(space, times, snaps)
+        yield f
 
 
 def dirichlet_form(space, generator, f):
@@ -327,12 +344,12 @@ def ultracontractivity_curve(space, schedule, s_grid, kernel_op=None):
         raise ValueError("ultracontractivity requires a declared heavy-tail rate")
     op = assemble_generator(space, schedule.coefficients(0.0))
     K = (kernel_op if kernel_op is not None else kernel_projection(space)).dense()
-    U = _propagator_factory(space, op)
+    eig = _symmetrized_eig(space, op)
     s_grid = np.asarray(s_grid, dtype=float)
     norms = np.empty_like(s_grid)
     eye = np.eye(space.size)
     for k, s in enumerate(s_grid):
-        norms[k] = operator_norm_2inf(space, (eye - K) @ U(s))
+        norms[k] = operator_norm_2inf(space, (eye - K) @ _eig_apply(eig, eye, s).T)
     return UCCurve(s=s_grid, norms=norms)
 
 
@@ -363,60 +380,36 @@ def fsp_profile(space, schedule, y, ell, window, s1, s2):
 
     Requires the proposition's time window s2 - s1 <= ell / N.
     """
-    from .configspace import config_distance
-
     if s2 - s1 > ell / space.N + 1e-12:
         raise ValueError("finite-speed window requires s2 - s1 <= ell / N")
     short = schedule.short_range(ell, window)
     if short.time_dependent:
-        result = propagate(space, short, space.delta(y), s1, s2,
-                           steps=_suggest_steps(space, short, s1, s2))
-        f = result.final
+        steps = max(64, _stable_steps(space, short, s1, s2))
+        f = propagate(space, short, space.delta(y), s1, s2, steps=steps).final
     else:
         op = assemble_generator(space, short.coefficients(s1))
-        U = _propagator_factory(space, op)
-        f = U(s2 - s1) @ space.delta(y)
+        f = _eig_apply(_symmetrized_eig(space, op), space.delta(y), s2 - s1)
     dist = np.array([config_distance(x, tuple(y), window) for x in space.configs])
     return FSPProfile(dist=dist, values=np.abs(f))
-
-
-def _inf_norm(op):
-    """||B||_inf, the largest absolute row sum, read off the stored entries."""
-    return float(np.max(abs(op.mat).sum(axis=1)))
-
-
-def _suggest_steps(space, schedule, s1, s2):
-    norm_inf = _inf_norm(assemble_generator(space, schedule.coefficients(s1)))
-    return max(64, math.ceil((s2 - s1) * norm_inf * 4.0) + 1)
 
 
 def l1_growth(space, schedule, s_grid):
     """Exact ||U(0,s)||_{1,1} along the grid (max measure-representation column sum)."""
     s_grid = np.asarray(s_grid, dtype=float)
     out = np.empty_like(s_grid)
+    eye = np.eye(space.size)
     if not schedule.time_dependent:
-        op = assemble_generator(space, schedule.coefficients(0.0))
-        U = _propagator_factory(space, op)
+        eig = _symmetrized_eig(space, assemble_generator(space, schedule.coefficients(0.0)))
         for k, s in enumerate(s_grid):
-            out[k] = operator_norm_11(space, U(s))
+            out[k] = operator_norm_11(space, _eig_apply(eig, eye, s).T)
         return list(zip(s_grid.tolist(), out.tolist()))
     # Time-varying: march the full matrix between grid points.
-    mat = np.eye(space.size)
-    prev = 0.0
+    mat, prev = eye, 0.0
     for k, s in enumerate(s_grid):
         if s > prev:
-            steps = _suggest_steps(space, schedule, prev, s)
-            h = (s - prev) / steps
-            for j in range(steps):
-                t0 = prev + j * h
-                A1 = assemble_generator(space, schedule.coefficients(t0)).mat
-                A2 = assemble_generator(space, schedule.coefficients(t0 + 0.5 * h)).mat
-                A4 = assemble_generator(space, schedule.coefficients(t0 + h)).mat
-                k1 = A1 @ mat
-                k2 = A2 @ (mat + 0.5 * h * k1)
-                k3 = A2 @ (mat + 0.5 * h * k2)
-                k4 = A4 @ (mat + h * k3)
-                mat = mat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            steps = max(64, _stable_steps(space, schedule, prev, s))
+            for mat in _rk4(space, schedule, mat, np.linspace(prev, s, steps + 1)):
+                pass
             prev = s
         out[k] = operator_norm_11(space, mat)
     return list(zip(s_grid.tolist(), out.tolist()))

@@ -176,16 +176,10 @@ class RegularityWindow:
             raise ValueError("regularity budget C must be positive")
         return self
 
-    def energy_interval(self, kappa=None):
+    def energy_interval(self):
         """kappa-truncated energy interval."""
-        k = self.kappa if kappa is None else kappa
-        half = (1.0 - k) * self.r
+        half = (1.0 - self.kappa) * self.r
         return self.E0 - half, self.E0 + half
-
-    def index_window(self, gammas, kappa=None):
-        """Indices whose classical locations fall inside the truncated interval."""
-        lo, hi = self.energy_interval(kappa)
-        return np.flatnonzero((gammas >= lo) & (gammas <= hi))
 
 
 @dataclass

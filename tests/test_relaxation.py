@@ -85,7 +85,7 @@ def test_propagate_time_dependent_matches_constant():
     varying = rx.CoefficientSchedule.from_function(lambda s: C, N=5)
     f0 = stream(6).standard_normal(sp.size)
     a = rx.propagate(sp, const, f0, 0.0, 0.2, steps=8).final
-    steps = rx._suggest_steps(sp, varying, 0.0, 0.2)
+    steps = max(64, rx._stable_steps(sp, varying, 0.0, 0.2))
     b = rx.propagate(sp, varying, f0, 0.0, 0.2, steps=steps).final
     assert np.max(np.abs(a - b)) <= 1e-8
 
@@ -96,6 +96,20 @@ def test_propagate_stability_guard():
         lambda s: rx.CoefficientSchedule.inverse_square(5, 1.0).coefficients(), N=5)
     with pytest.raises(ValueError, match="stability"):
         rx.propagate(sp, varying, np.ones(sp.size), 0.0, 5.0, steps=2)
+
+
+def test_propagate_stage_guard_catches_midpoint_spike():
+    # One step from 0 to T has stages at 0, T/2 and T; the norm spikes only at
+    # T/2, so the check at s1 and s2 passes and the stage guard must catch it.
+    sp = cs.enumerate_space(5, 2)
+    C = random_schedule(5, 15).coefficients()
+    T = 1e-3
+    calm = rx.CoefficientSchedule.from_function(lambda s: C, N=5)
+    spike = rx.CoefficientSchedule.from_function(
+        lambda s: 1e4 * C if 0.25 * T < s < 0.75 * T else C, N=5)
+    rx.propagate(sp, calm, np.ones(sp.size), 0.0, T, steps=1)
+    with pytest.raises(ValueError, match="stability bound violated at stage time 0.0005"):
+        rx.propagate(sp, spike, np.ones(sp.size), 0.0, T, steps=1)
 
 
 def test_pairing_preserved_along_propagation():
@@ -246,14 +260,7 @@ def test_ultracontractivity_curve():
 
 
 def test_fsp_profile_bounds():
-    from momentflow.harness import zero_reference
-    from momentflow import spectral as spx
-
-    N, ell = 40, 4
-    prof = spx.FreeConvolutionProfile(zero_reference(N), 1.0)
-    gamma = spx.classical_locations(prof)
-    window = np.flatnonzero(np.abs(gamma) <= 1.8)
-    sched = rx.CoefficientSchedule.from_eigenvalues(gamma)
+    N, ell, window, sched = _fsp_setup()
     sp = cs.enumerate_space(N, 2)
     profile = rx.fsp_profile(sp, sched, (N // 2, N // 2), ell, window, 0.0, ell / N)
     assert profile.max_at_or_beyond(4 * ell) <= 1e-6
@@ -263,6 +270,38 @@ def test_fsp_profile_bounds():
     assert max(rises) <= 1e-9
     with pytest.raises(ValueError, match="window"):
         rx.fsp_profile(sp, sched, (N // 2, N // 2), ell, window, 0.0, 1.0)
+
+
+def _fsp_setup():
+    from momentflow.harness import zero_reference
+    from momentflow import spectral as spx
+
+    N, ell = 40, 4
+    prof = spx.FreeConvolutionProfile(zero_reference(N), 1.0)
+    gamma = spx.classical_locations(prof)
+    window = np.flatnonzero(np.abs(gamma) <= 1.8)
+    return N, ell, window, rx.CoefficientSchedule.from_eigenvalues(gamma)
+
+
+@pytest.mark.parametrize("kind", ["l1_growth", "fsp_profile"])
+def test_time_dependent_constant_schedule_matches_exact(kind):
+    if kind == "l1_growth":
+        sp = cs.enumerate_space(6, 4)
+        const = rx.CoefficientSchedule.inverse_square(6, 1.0)
+        C = const.coefficients()
+        varying = rx.CoefficientSchedule.from_function(lambda s: C, N=6)
+        grid = [0.0, 0.2, 0.6, 1.0]
+        a = np.array(rx.l1_growth(sp, const, grid))
+        b = np.array(rx.l1_growth(sp, varying, grid))
+    else:
+        N, ell, window, const = _fsp_setup()
+        C = const.coefficients()
+        varying = rx.CoefficientSchedule.from_function(lambda s: C, N=N)
+        sp = cs.enumerate_space(N, 2)
+        y = (N // 2, N // 2)
+        a = rx.fsp_profile(sp, const, y, ell, window, 0.0, ell / N).values
+        b = rx.fsp_profile(sp, varying, y, ell, window, 0.0, ell / N).values
+    assert np.max(np.abs(a - b)) <= 1e-7
 
 
 def test_l1_growth_curve():
