@@ -56,7 +56,6 @@ from .configspace import (
 from .flow import (
     EigenPath,
     MomentRequest,
-    align_frames,
     estimate_moment,
     integrate_see,
 )

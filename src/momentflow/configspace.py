@@ -104,9 +104,6 @@ class ConfigurationSpace:
     def norm_l2(self, f):
         return float(math.sqrt(np.sum(self.pi * np.asarray(f) ** 2)))
 
-    def norm_linf(self, f):
-        return float(np.max(np.abs(f)))
-
     def inner(self, f, g):
         return float(np.sum(self.pi * np.asarray(f) * np.asarray(g)))
 

@@ -1,10 +1,15 @@
 """Coupled eigenvalue/eigenvector stochastic dynamics and Monte Carlo moment
 estimation.
 
-The path integrator exists to validate the configuration-space generator; the
-Monte Carlo trials use one-shot direct perturbation plus a fresh eigensolve
-of only the needed eigenpairs per trial, which is exact in distribution and
-free of discretization bias.
+The SEE (stochastic eigenstate equation, coupled to Dyson Brownian motion) is
+advanced by one batched Euler-Maruyama step, `_see_step`, over a leading path
+axis: Householder QR orthonormalizes a single path and CGS2 a batch.  The
+single path (`integrate_see`) halves and retries a step whose eigenvalues
+cross; the fixed-step ensemble (`see_endpoint_ensemble`) reorders crossed
+paths and logs their count.  The paths exist to validate the
+configuration-space generator; the Monte Carlo trials use one-shot direct
+perturbation plus a fresh eigensolve of only the needed eigenpairs per trial,
+which is exact in distribution and free of discretization bias.
 """
 
 import logging
@@ -13,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._rng import stream
 from .configspace import occupancies, pi_weight
@@ -25,7 +29,6 @@ log = logging.getLogger(__name__)
 GAP_FLOOR = 1e-8
 GAP_STEP_FACTOR = 10.0
 FRAME_TOL = 1e-8
-TIE_TOL = 1e-12
 
 
 @dataclass
@@ -54,61 +57,78 @@ class EigenPath:
         return self
 
 
-def _sde_step(lam, U, h, S, N):
-    """One Euler-Maruyama step of the coupled spectral dynamics.
+def _orthonormalize(U):
+    """Orthonormal Q factors of a (b, N, N) batch, column signs left to the caller.
 
-    S is a symmetric noise matrix with unit off-diagonal variance and
-    variance 2 on the diagonal.
+    One matrix goes through Householder QR; a batch goes through CGS2 on its
+    column-major transpose, which is faster there.
     """
-    gaps = lam[:, None] - lam[None, :]
-    np.fill_diagonal(gaps, np.inf)
+    if len(U) == 1:
+        return np.linalg.qr(U[0])[0][None]
+    cols = np.ascontiguousarray(U.transpose(2, 1, 0))
+    _cgs2(cols)
+    return np.ascontiguousarray(cols.transpose(2, 1, 0))
+
+
+def _see_step(lam, U, h, S):
+    """One Euler-Maruyama step of the SEE for a batch of paths.
+
+    lam is (b, N), U is (b, N, N) and S is a (b, N, N) stack of symmetric
+    noise matrices with unit off-diagonal variance and variance 2 on the
+    diagonal.  A gap under GAP_FLOOR aborts with "eigenvalue collision".
+    Each new column is flipped to have a nonnegative overlap with the old one.
+    """
+    N = lam.shape[1]
+    idx = np.arange(N)
+    gaps = lam[:, :, None] - lam[:, None, :]
+    gaps[:, idx, idx] = np.inf
+    gap = float(np.abs(gaps).min())
+    if gap < GAP_FLOOR:
+        raise RuntimeError(f"eigenvalue collision: min gap {gap:.3g} below {GAP_FLOOR:g}")
     inv = 1.0 / gaps
-    lam_new = lam + math.sqrt(h / N) * np.diag(S) + (h / N) * inv.sum(axis=1)
-    W = math.sqrt(h / N) * S / gaps.T
-    np.fill_diagonal(W, 0.0)
-    decay = 0.5 * (h / N) * (inv**2).sum(axis=0)
-    U_new = U + U @ W - U * decay[None, :]
-    Q, R = np.linalg.qr(U_new)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    Q = Q * signs[None, :]
-    flips = np.sign(np.einsum("ij,ij->j", U, Q))
+    lam_new = lam + math.sqrt(h / N) * np.einsum("bii->bi", S) + (h / N) * inv.sum(axis=2)
+    W = math.sqrt(h / N) * S / gaps.transpose(0, 2, 1)
+    W[:, idx, idx] = 0.0
+    decay = 0.5 * (h / N) * (inv**2).sum(axis=1)
+    Q = _orthonormalize(U + U @ W - U * decay[:, None, :])
+    flips = np.sign(np.einsum("bij,bij->bj", U, Q))
     flips[flips == 0] = 1.0
-    return lam_new, Q * flips[None, :]
+    Q *= flips[:, None, :]
+    return lam_new, Q
 
 
-def integrate_see(dec0, t, dt, seed, gap_floor=GAP_FLOOR):
+def _symmetric_noise(rng, b, N):
+    G = rng.standard_normal((b, N, N))
+    return (G + G.transpose(0, 2, 1)) / math.sqrt(2.0)
+
+
+def integrate_see(dec0, t, dt, seed):
     """Euler-Maruyama path of the spectral flow started at a decomposition.
 
-    Steps shrink adaptively while the minimal eigenvalue gap is below
-    10 * dt * N; a gap under the hard floor aborts with "eigenvalue collision".
+    Runs the shared SEE step on a batch of one path (Householder QR).  Steps
+    shrink adaptively while the minimal eigenvalue gap is below 10 * dt * N,
+    and a step whose eigenvalues cross is halved and retried; a gap under
+    GAP_FLOOR aborts with "eigenvalue collision".
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t < 0:
         raise ValueError("t must be >= 0")
-    lam = dec0.eigenvalues.copy()
-    U = dec0.frame.copy()
-    N = lam.shape[0]
+    lam, U = dec0.eigenvalues[None, :], dec0.frame[None]
+    N = lam.shape[1]
     gap = float(np.min(np.diff(lam)))
     if gap <= GAP_STEP_FACTOR * dt * N:
         log.warning("initial spectrum gap %.3g below 10*dt*N = %.3g", gap, GAP_STEP_FACTOR * dt * N)
-    times = [0.0]
-    lams = [lam.copy()]
-    frames = [U.copy()]
+    times, lams, frames = [0.0], [lam[0]], [U[0]]
     rng = stream(seed)
     s = 0.0
     while s < t - 1e-15:
         h = min(dt, t - s)
         gap = float(np.min(np.diff(lam)))
-        if gap < gap_floor:
-            raise RuntimeError(f"eigenvalue collision: min gap {gap:.3g} at s = {s:.6g}")
         while gap <= GAP_STEP_FACTOR * h * N and h > 1e-15:
             h *= 0.5
         while True:
-            G = rng.standard_normal((N, N))
-            S = (G + G.T) / math.sqrt(2.0)
-            lam_new, U_new = _sde_step(lam, U, h, S, N)
+            lam_new, U_new = _see_step(lam, U, h, _symmetric_noise(rng, 1, N))
             if np.all(np.diff(lam_new) > 0):
                 break
             h *= 0.5  # crossing within the step; retry smaller
@@ -117,67 +137,40 @@ def integrate_see(dec0, t, dt, seed, gap_floor=GAP_FLOOR):
         lam, U = lam_new, U_new
         s += h
         times.append(s)
-        lams.append(lam.copy())
-        frames.append(U.copy())
+        lams.append(lam[0])
+        frames.append(U[0])
     return EigenPath(np.array(times), np.array(lams), np.array(frames))
 
 
 def see_endpoint_ensemble(lam0, frame0, t, dt, n_paths, seed):
     """Endpoint (eigenvalues, frames) of n_paths independent spectral-flow runs.
 
-    Vectorized over paths with a fixed step; meant for Monte Carlo checks on
-    well-separated spectra.  Collisions below the hard floor abort.
+    Runs the shared SEE step over all paths at a fixed step (CGS2 for more
+    than one path); meant for Monte Carlo checks on well-separated spectra.
+    A path whose eigenvalues cross is put back in ascending order, and the
+    number of such paths is logged as a warning.  Collisions below GAP_FLOOR
+    abort.
     """
     lam0 = np.asarray(lam0, dtype=float)
     N = lam0.shape[0]
     steps = max(1, int(round(t / dt)))
-    h = t / steps if steps else 0.0
+    h = t / steps
     lam = np.tile(lam0, (n_paths, 1))
     U = np.tile(np.asarray(frame0, dtype=float), (n_paths, 1, 1))
     rng = stream(seed)
+    crossed = np.zeros(n_paths, dtype=bool)
     for _ in range(steps):
-        G = rng.standard_normal((n_paths, N, N))
-        S = (G + G.transpose(0, 2, 1)) / math.sqrt(2.0)
-        gaps = lam[:, :, None] - lam[:, None, :]
-        idx = np.arange(N)
-        gaps[:, idx, idx] = np.inf
-        if float(np.min(np.abs(gaps))) < GAP_FLOOR:
-            raise RuntimeError("eigenvalue collision in ensemble run")
-        inv = 1.0 / gaps
-        diag_noise = np.einsum("bii->bi", S)
-        lam = lam + math.sqrt(h / N) * diag_noise + (h / N) * inv.sum(axis=2)
-        W = math.sqrt(h / N) * S / gaps.transpose(0, 2, 1)
-        W[:, idx, idx] = 0.0
-        decay = 0.5 * (h / N) * (inv**2).sum(axis=1)
-        cols = np.ascontiguousarray((U + U @ W - U * decay[:, None, :]).transpose(2, 1, 0))
-        _cgs2(cols)
-        U = np.ascontiguousarray(cols.transpose(2, 1, 0))
-        # Rare crossings: restore ascending order pathwise.
-        order = np.argsort(lam, axis=1)
-        if not np.array_equal(order, np.tile(idx, (n_paths, 1))):
+        lam, U = _see_step(lam, U, h, _symmetric_noise(rng, n_paths, N))
+        moved = np.any(np.diff(lam, axis=1) < 0, axis=1)
+        if moved.any():
+            crossed |= moved
+            order = np.argsort(lam, axis=1)
             lam = np.take_along_axis(lam, order, axis=1)
             U = np.take_along_axis(U, order[:, None, :], axis=2)
+    if crossed.any():
+        log.warning("see_endpoint_ensemble: reordered %d of %d paths after eigenvalue crossings",
+                    int(crossed.sum()), n_paths)
     return lam, U
-
-
-def align_frames(previous, current):
-    """Permute and sign-flip `current`'s columns to track `previous`.
-
-    The permutation maximizes total absolute overlap (exact assignment);
-    near-ties are resolved toward lower indices and flagged in the log.
-    """
-    overlap = previous.T @ current
-    cost = np.abs(overlap)
-    row, col = linear_sum_assignment(-cost)
-    perm = np.empty_like(col)
-    perm[row] = col
-    top2 = np.sort(cost, axis=1)[:, -2:]
-    if np.any(top2[:, 1] - top2[:, 0] < TIE_TOL):
-        log.warning("align_frames: ambiguous assignment resolved by lowest index")
-    aligned = current[:, perm]
-    signs = np.sign(np.einsum("ij,ij->j", previous, aligned))
-    signs[signs == 0] = 1.0
-    return aligned * signs[None, :]
 
 
 @dataclass

@@ -394,8 +394,11 @@ def fsp_profile(space, schedule, y, ell, window, s1, s2):
 
 
 def l1_growth(space, schedule, s_grid):
-    """Exact ||U(0,s)||_{1,1} along the grid (max measure-representation column sum)."""
+    """Exact ||U(0,s)||_{1,1} (max measure-representation column sum) along a
+    nonnegative, nondecreasing grid."""
     s_grid = np.asarray(s_grid, dtype=float)
+    if np.any(s_grid < 0) or np.any(np.diff(s_grid) < 0):
+        raise ValueError("s_grid must be nonnegative and nondecreasing")
     out = np.empty_like(s_grid)
     eye = np.eye(space.size)
     if not schedule.time_dependent:

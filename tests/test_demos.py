@@ -5,14 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_relaxation_demo_runs():
+@pytest.mark.parametrize("script", ["04_relaxation_inequalities.py", "06_see_paths.py"])
+def test_demo_runs(script):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "04_relaxation_inequalities.py")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / script)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

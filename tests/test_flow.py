@@ -34,8 +34,22 @@ def test_integrate_see_invariants():
 def test_integrate_see_collision_floor():
     lam = np.array([0.0, 5e-9, 1.0])
     dec = spx.SpectralDecomposition(lam, np.eye(3))
-    with pytest.raises(RuntimeError, match="collision"):
+    with pytest.raises(RuntimeError, match="collision: min gap"):
         flow.integrate_see(dec, 0.01, 1e-4, seed=3)
+    with pytest.raises(RuntimeError, match="collision: min gap"):
+        flow.see_endpoint_ensemble(lam, np.eye(3), 0.01, 1e-4, 4, seed=3)
+
+
+def test_see_step_single_path_matches_batch():
+    # Batch 1 runs Householder QR, batch 2 runs CGS2; both share every other line.
+    N, h = 9, 1e-3
+    lam = np.sort(stream(31).standard_normal((2, N)), axis=1)
+    U = np.stack([spx.eig_sym(ens.sample_goe(N, s)).frame for s in (32, 33)])
+    S = flow._symmetric_noise(stream(34), 2, N)
+    lam2, U2 = flow._see_step(lam, U, h, S)
+    lam1, U1 = flow._see_step(lam[1:], U[1:], h, S[1:])
+    assert np.array_equal(lam1, lam2[1:])
+    assert np.max(np.abs(U1 - U2[1:])) <= 1e-14
 
 
 def test_endpoint_law_matches_direct_perturbation():
@@ -51,19 +65,13 @@ def test_endpoint_law_matches_direct_perturbation():
     assert ks <= 0.05
 
 
-def test_align_frames_actions():
-    U = spx.eig_sym(ens.sample_goe(12, 5)).frame
-    assert np.allclose(flow.align_frames(U, U), U)
-    V = U.copy()
-    V[:, 3] *= -1
-    assert np.allclose(flow.align_frames(U, V), U)
-    W = U.copy()
-    W[:, [0, 1]] = W[:, [1, 0]]
-    assert np.allclose(flow.align_frames(U, W), U)
-    X = U.copy()
-    X[:, [2, 5]] = X[:, [5, 2]]
-    X[:, 2] *= -1
-    assert np.allclose(flow.align_frames(U, X), U)
+def test_endpoint_ensemble_warns_on_reorder(caplog):
+    # At the endpoint-law parameters 3 of 2000 paths cross and are reordered.
+    N = 8
+    with caplog.at_level("WARNING", logger="momentflow.flow"):
+        flow.see_endpoint_ensemble(np.linspace(-1.0, 1.0, N), np.eye(N), 0.02, 5e-4, 2000,
+                                   seed=9)
+    assert "reordered 3 of 2000 paths" in caplog.text
 
 
 def test_generator_consistency_finite_difference():

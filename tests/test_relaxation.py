@@ -304,6 +304,20 @@ def test_time_dependent_constant_schedule_matches_exact(kind):
     assert np.max(np.abs(a - b)) <= 1e-7
 
 
+@pytest.mark.parametrize("time_dependent", [False, True])
+@pytest.mark.parametrize("grid", [[0.5, 0.2], [-0.1, 0.2]])
+def test_l1_growth_rejects_unordered_or_negative_grid(time_dependent, grid):
+    # A time-dependent march cannot go back in time, so an unordered grid
+    # would report the norm of an earlier, larger point.
+    sp = cs.enumerate_space(6, 4)
+    sched = rx.CoefficientSchedule.inverse_square(6, 1.0)
+    if time_dependent:
+        C = sched.coefficients()
+        sched = rx.CoefficientSchedule.from_function(lambda s: C, N=6)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        rx.l1_growth(sp, sched, grid)
+
+
 def test_l1_growth_curve():
     sp = cs.enumerate_space(6, 4)
     sched = rx.CoefficientSchedule.inverse_square(6, 1.0)
