@@ -47,7 +47,6 @@ from .configspace import (
     conditional_expectation,
     config_distance,
     enumerate_space,
-    haar_kernel_entry,
     jump,
     kernel_projection,
     local_projection,

@@ -485,28 +485,43 @@ def delta_pairing(space, op, x, y):
 def haar_kernel_entries(N, pairs, samples, seed, chunk=4096):
     """Monte Carlo estimates of E[prod_a O_{x_a y_a}] for Haar orthogonal O.
 
-    One stream of samples serves every requested (x, y) pair.  Each sample is
-    the Q factor, with a positive diagonal of R, of a Gaussian matrix, which
-    is Haar distributed.  Chunks of `chunk` samples are orthonormalized
+    Haar measure is invariant under permutations of O's columns, so each
+    pair's column sites y are relabelled 0..k_p-1 in order of first
+    appearance without changing its expectation; the rows x stay.  Only the
+    first k = max k_p columns are sampled: they are the thin Q factor, with a
+    positive diagonal of R, of an N x k Gaussian matrix.  One stream of
+    samples serves every pair.  Chunks of `chunk` samples are orthonormalized
     together by Gram-Schmidt in the column-major layout; while one chunk is
-    processed, a single worker thread draws the next from the stream, in
-    order, so the draws are the same as in a serial run.  Returns parallel
-    lists (estimates, stderrs).
+    processed, a single worker thread draws the next from the stream in
+    sample-major order, so the estimates equal a serial run's and do not
+    depend on `chunk`.  Raises ValueError for a pair whose x and y differ in
+    length or hold a site outside [0, N).  Returns parallel lists
+    (estimates, stderrs).
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    idx = [(np.asarray(x, dtype=np.intp), np.asarray(y, dtype=np.intp))
-           for x, y in pairs]
+    idx = []
+    for x, y in pairs:
+        x, y = np.asarray(x, dtype=np.intp), np.asarray(y, dtype=np.intp)
+        if x.ndim != 1 or x.shape != y.shape:
+            raise ValueError(f"pair x={x.tolist()}, y={y.tolist()}: x and y must be "
+                             "site sequences of equal length")
+        if np.any((x < 0) | (x >= N) | (y < 0) | (y >= N)):
+            raise ValueError(f"pair x={x.tolist()}, y={y.tolist()}: sites must lie in [0, {N})")
+        first = {}
+        idx.append((x, np.array([first.setdefault(s, len(first)) for s in y.tolist()],
+                                dtype=np.intp)))
+    k = max((int(y.max()) + 1 for _, y in idx if y.size), default=1)
     rng = stream(seed)
     sizes = [min(chunk, samples - done) for done in range(0, samples, chunk)]
     total = np.zeros(len(idx))
     total_sq = np.zeros(len(idx))
 
     def draw(m):
-        # Column-major copy of m Gaussian matrices: cols[j, i] = G[:, i, j].
-        # Only numpy runs here, and it releases the GIL while it fills and
-        # copies arrays.
-        return np.ascontiguousarray(rng.standard_normal((m, N, N)).transpose(2, 1, 0))
+        # Column-major copy of the first k columns of m Gaussian matrices:
+        # cols[j, i] = G[:, i, j].  Only numpy runs here, and it releases the
+        # GIL while it fills and copies arrays.
+        return np.ascontiguousarray(rng.standard_normal((m, k, N)).transpose(1, 2, 0))
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = pool.submit(draw, sizes[0])
@@ -515,19 +530,13 @@ def haar_kernel_entries(N, pairs, samples, seed, chunk=4096):
             if m_next:
                 pending = pool.submit(draw, m_next)
             _cgs2(cols)
-            for k, (x, y) in enumerate(idx):
+            for p, (x, y) in enumerate(idx):
                 prod = np.prod(cols[y, x], axis=0)
-                total[k] += float(prod.sum())
-                total_sq[k] += float((prod**2).sum())
+                total[p] += float(prod.sum())
+                total_sq[p] += float((prod**2).sum())
     means = total / samples
     variances = np.maximum(total_sq / samples - means**2, 0.0)
     return means.tolist(), np.sqrt(variances / samples).tolist()
-
-
-def haar_kernel_entry(N, x, y, samples, seed, chunk=4096):
-    """Single-pair version of haar_kernel_entries; returns (estimate, stderr)."""
-    means, errs = haar_kernel_entries(N, [(x, y)], samples, seed, chunk=chunk)
-    return means[0], errs[0]
 
 
 def all_partitions(n):

@@ -194,11 +194,12 @@ def test_kernel_nullspace_dimension():
 
 
 def test_haar_kernel_entries():
-    est, se = cs.haar_kernel_entry(5, (0, 0), (2, 2), 200_000, seed=4)
+    (est,), (se,) = cs.haar_kernel_entries(5, [((0, 0), (2, 2))], 200_000, seed=4)
     assert abs(est - 0.2) <= 4 * se
-    est0, se0 = cs.haar_kernel_entry(5, (0, 0), (0, 1), 200_000, seed=5)
+    (est0,), (se0,) = cs.haar_kernel_entries(5, [((0, 0), (0, 1))], 200_000, seed=5)
     assert abs(est0) <= 4 * se0
-    est4, se4 = cs.haar_kernel_entry(6, (1, 1, 1, 1), (1, 1, 1, 1), 200_000, seed=6)
+    (est4,), (se4,) = cs.haar_kernel_entries(6, [((1, 1, 1, 1), (1, 1, 1, 1))], 200_000,
+                                            seed=6)
     # spherical fourth-moment oracle by direct sphere sampling
     rng = stream(7)
     g = rng.standard_normal((200_000, 6))
@@ -206,6 +207,36 @@ def test_haar_kernel_entries():
     oracle = (sph**4).mean()
     se_o = (sph**4).std(ddof=1) / math.sqrt(200_000)
     assert abs(est4 - oracle) <= 4 * math.hypot(se4, se_o)
+
+
+def test_haar_kernel_entries_two_column_weingarten():
+    # Fourth-order Weingarten values of the orthogonal group at N = 6
+    # (Collins & Sniady 2006); each reads two columns of O.
+    N = 6
+    oracles = [
+        (((0, 0, 1, 1), (0, 0, 1, 1)), (N + 1) / (N * (N - 1) * (N + 2))),  # O11^2 O22^2
+        (((0, 0, 1, 1), (0, 1, 0, 1)), -1 / (N * (N - 1) * (N + 2))),  # O11 O12 O21 O22
+        (((0, 0, 0, 0), (0, 0, 1, 1)), 1 / (N * (N + 2))),  # O11^2 O12^2
+    ]
+    ests, ses = cs.haar_kernel_entries(N, [pair for pair, _ in oracles], 200_000, (19, 1))
+    for (_, exact), est, se in zip(oracles, ests, ses):
+        assert 0 < se and abs(est - exact) <= 4 * se
+
+
+def test_haar_kernel_entries_relabel_columns():
+    # Column sites are relabelled in order of first appearance, so pairs that
+    # differ by a column permutation read the same sampled columns.
+    x = (0, 0, 1, 1)
+    first = cs.haar_kernel_entries(6, [(x, (4, 4, 5, 5))], 20_000, (19, 2))
+    assert cs.haar_kernel_entries(6, [(x, (5, 5, 4, 4))], 20_000, (19, 2)) == first
+    assert cs.haar_kernel_entries(6, [(x, (0, 0, 1, 1))], 20_000, (19, 2)) == first
+
+
+def test_haar_kernel_entries_reject_bad_pairs():
+    for x, y in [((0, 0), (-1, -1)), ((5, 0), (0, 0)), ((0,), (0, 1, 2, 3)),
+                 ((0, 1), (1,))]:
+        with pytest.raises(ValueError):
+            cs.haar_kernel_entries(5, [((0, 0), (1, 1)), (x, y)], 100, seed=1)
 
 
 def test_haar_kernel_entries_reproducible_and_chunk_invariant():
