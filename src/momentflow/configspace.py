@@ -22,7 +22,6 @@ import scipy.sparse as sp
 from ._rng import stream
 from .spectral import _cgs2
 
-DENSE_CUTOFF = 2000
 SIZE_GUARD = 10**6
 FLAG_TOL = 1e-12
 
@@ -294,22 +293,28 @@ class WeightedOperator:
 
 @dataclass(frozen=True)
 class _Stencil:
-    """Every off-diagonal entry of B(C) on one space: moves first, then exchanges.
+    """Every off-diagonal entry of B(C) on one space (moves first, then
+    exchanges) and the canonical CSR pattern (indptr, indices) they fill with
+    the diagonal.
 
-    Entry k sits at (row[k], col[k]) and has the value c_ij * num[k] / den[k],
-    where site[k] = i * N + j; the full generator negates the exchanges.  A
-    move is stored once for both orderings of its label pair, with
+    Entry k lies in row row[k], is stored at data[slot[k]], and has the value
+    c_ij * num[k] / den[k], where site[k] = i * N + j; the full generator
+    negates the exchanges.  Row r's diagonal is data[diag[r]].  A move is
+    stored once for both orderings of its label pair, with
     num / den = 2 (n_j+1) / (n_i-1); an exchange has num / den = 2 / 1.
     Keeping the weight as a fraction makes c_ij * num / den round exactly as
     the per-ordering sum 2 * (c_ij (n_j+1) / (n_i-1)) does.
     """
 
     row: np.ndarray
-    col: np.ndarray
     site: np.ndarray
     num: np.ndarray
     den: np.ndarray
     moves: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+    diag: np.ndarray
 
     def part(self, name):
         """Slice of the entries that make up one generator part."""
@@ -341,16 +346,27 @@ def _build_stencil(space):
         swaps.append((rows, codes[rows] + (xb - xa) * (radix[a] - radix[b]),
                       np.minimum(xa, xb), np.maximum(xa, xb),
                       np.full(rows.size, 2.0), np.ones(rows.size)))
+    n_moves = sum(m[0].size for m in moves)
     row, code, i, j, num, den = (np.concatenate(parts) for parts in zip(*moves, *swaps))
-    return _Stencil(row=row, col=space._locate(code), site=i * N + j, num=num, den=den,
-                    moves=sum(m[0].size for m in moves))
+    del moves, swaps  # copied into the arrays above; freed before the pattern is built
+    # Number the entries and the diagonal 1..m; scipy's canonical CSR of the
+    # numbers says where each one goes.
+    d = np.arange(space.size)
+    P = sp.csr_matrix((np.arange(1, row.size + d.size + 1),
+                       (np.concatenate([row, d]), np.concatenate([space._locate(code), d]))),
+                      shape=(space.size, space.size))
+    where = np.empty(P.nnz, dtype=np.intp)
+    where[P.data - 1] = np.arange(P.nnz)
+    return _Stencil(row=row, site=i * N + j, num=num, den=den, moves=n_moves,
+                    indptr=P.indptr, indices=P.indices, slot=where[:row.size],
+                    diag=where[row.size:])
 
 
 def _validate_coeffs(space, coeffs):
     C = np.asarray(coeffs, dtype=float)
     if C.shape != (space.N, space.N):
         raise ValueError(f"coefficient map must be {space.N}x{space.N}")
-    if not np.allclose(C, C.T, atol=0, rtol=0):
+    if not np.array_equal(C, C.T):
         raise ValueError("coefficient map must be symmetric")
     if np.any(C < 0):
         raise ValueError("coefficients must be nonnegative")
@@ -367,9 +383,10 @@ def assemble_generator(space, coeffs, part="full"):
     exchange-only:  partner swap with weight 2
     All three have zero row sums and are self-adjoint for the measure pi.
 
-    B(C) is linear in C on a sparsity pattern fixed by the space, so the
-    off-diagonal entries are the space's cached stencil reweighted by
-    c_ij, and the diagonal is minus the row sums.
+    B(C) is linear in C on a sparsity pattern fixed by the space, so every
+    generator is CSR on the space's cached stencil: the off-diagonal entries
+    are reweighted by c_ij, the diagonal is minus the row sums, and zeros
+    (+0.0 or -0.0) are dropped.
     """
     if part not in ("full", "move-only", "exchange-only"):
         raise ValueError(f"unknown part {part!r}")
@@ -379,21 +396,14 @@ def assemble_generator(space, coeffs, part="full"):
     vals = np.take(C, st.site[sel]) * st.num[sel] / st.den[sel]
     if part == "full":
         vals[st.moves:] *= -1.0
-    row, col = st.row[sel], st.col[sel]
-    # Adding to or subtracting from 0.0 turns -0.0 (a negated zero
-    # coefficient, or an empty row) into 0.0, the value an absent entry reads.
-    vals += 0.0
-    diag = 0.0 - np.bincount(row, weights=vals, minlength=space.size)
-    d = np.arange(space.size)
-    if space.size <= DENSE_CUTOFF:
-        mat = np.zeros((space.size, space.size))
-        mat[row, col] = vals
-        mat[d, d] = diag
-    else:
-        mat = sp.csr_matrix((np.concatenate([vals, diag]),
-                             (np.concatenate([row, d]), np.concatenate([col, d]))),
-                            shape=(space.size, space.size))
-        mat.eliminate_zeros()
+    data = np.zeros(st.indices.size)
+    data[st.slot[sel]] = vals
+    data[st.diag] = -np.bincount(st.row[sel], weights=vals, minlength=space.size)
+    # eliminate_zeros rewrites the index arrays in place, so each matrix gets
+    # its own copy of the pattern.
+    mat = sp.csr_matrix((data, st.indices.copy(), st.indptr.copy()),
+                        shape=(space.size, space.size))
+    mat.eliminate_zeros()
     return WeightedOperator(space, mat, is_generator=True, is_pi_self_adjoint=True)
 
 

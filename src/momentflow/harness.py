@@ -370,7 +370,6 @@ def _stack_expectations(space, partitions):
 def _commutation_defect(B, stacked):
     """max |B E_P - E_P B| over the stacked E_P, with every commutator formed
     in one sparse product: kron(I, B) stacked - stacked B."""
-    B = sparse.csr_matrix(B)
     blocks = sparse.identity(stacked.shape[0] // B.shape[0], format="csr")
     comm = sparse.kron(blocks, B, format="csr") @ stacked - stacked @ B
     return float(np.max(np.abs(comm.data), initial=0.0))
@@ -561,37 +560,22 @@ def _joint_normality_experiment(cfg):
     fourth = N**2 * oi[:, 0] ** 4
 
     rows = []
+
+    def moment(name, vals, target, tol=None):
+        est = float(vals.mean())
+        se = float(vals.std(ddof=1) / math.sqrt(cfg.trials))
+        _check(checks, name, est, target, 3.0 * se if tol is None else tol)
+        rows.append((name, est, target, se))
+
     for p, (v, w) in enumerate(vw_pairs):
-        est = float(a_vals[:, p].mean())
-        se = float(a_vals[:, p].std(ddof=1) / math.sqrt(cfg.trials))
-        target = float(v @ w)
-        _check(checks, f"second-moment-pair-{p}", est, target, 3.0 * se)
-        rows.append((f"second-moment-pair-{p}", est, target, se))
-
-    est_d = float(diag_vals.mean())
-    se_d = float(diag_vals.std(ddof=1) / math.sqrt(cfg.trials))
-    _check(checks, "second-moment-diagonal", est_d, 1.0, 3.0 * se_d)
-    rows.append(("second-moment-diagonal", est_d, 1.0, se_d))
-
-    est4 = float(fourth.mean())
-    se4 = float(fourth.std(ddof=1) / math.sqrt(cfg.trials))
-    _check(checks, "fourth-moment", est4, 3.0, 0.3)
-    rows.append(("fourth-moment", est4, 3.0, se4))
-
-    centered = (a_vals[:, 0] - a_vals[:, 0].mean()) * (b_vals - b_vals.mean())
-    cov = float(centered.mean())
-    cov_se = float(centered.std(ddof=1) / math.sqrt(cfg.trials))
-    _check(checks, "cross-index-factorization", cov, 0.0, 3.0 * cov_se)
-    rows.append(("cross-index-factorization", cov, 0.0, cov_se))
-
+        moment(f"second-moment-pair-{p}", a_vals[:, p], float(v @ w))
+    moment("second-moment-diagonal", diag_vals, 1.0)
+    moment("fourth-moment", fourth, 3.0, tol=0.3)
+    moment("cross-index-factorization",
+           (a_vals[:, 0] - a_vals[:, 0].mean()) * (b_vals - b_vals.mean()), 0.0)
     # Wick target for the factorized four-point product across two indices.
-    prod_vals = a_vals[:, 0] * b_vals
-    est_prod = float(prod_vals.mean())
-    se_prod = float(prod_vals.std(ddof=1) / math.sqrt(cfg.trials))
     v0, w0 = vw_pairs[0]
-    wick_target = float((v0 @ w0) ** 2)
-    _check(checks, "wick-product-target", est_prod, wick_target, 3.0 * se_prod)
-    rows.append(("wick-product-target", est_prod, wick_target, se_prod))
+    moment("wick-product-target", a_vals[:, 0] * b_vals, float((v0 @ w0) ** 2))
 
     tables["moments"] = (["check", "estimate", "target", "stderr"], rows)
     return checks, tables

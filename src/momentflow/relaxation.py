@@ -383,12 +383,8 @@ def fsp_profile(space, schedule, y, ell, window, s1, s2):
     if s2 - s1 > ell / space.N + 1e-12:
         raise ValueError("finite-speed window requires s2 - s1 <= ell / N")
     short = schedule.short_range(ell, window)
-    if short.time_dependent:
-        steps = max(64, _stable_steps(space, short, s1, s2))
-        f = propagate(space, short, space.delta(y), s1, s2, steps=steps).final
-    else:
-        op = assemble_generator(space, short.coefficients(s1))
-        f = _eig_apply(_symmetrized_eig(space, op), space.delta(y), s2 - s1)
+    steps = max(64, _stable_steps(space, short, s1, s2)) if short.time_dependent else 1
+    f = propagate(space, short, space.delta(y), s1, s2, steps).final
     dist = np.array([config_distance(x, tuple(y), window) for x in space.configs])
     return FSPProfile(dist=dist, values=np.abs(f))
 

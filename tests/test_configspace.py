@@ -457,7 +457,7 @@ def test_colorblind_transport():
     assert np.max(np.abs(B @ Pr - Pr @ B)) <= 1e-12
 
 
-# Every (N, n) the suite enumerates, plus one space above the dense cutoff.
+# Every (N, n) the suite enumerates, plus Lambda^4_27 (2,133 configurations).
 REFERENCE_SPACES = [(2, 2), (3, 2), (5, 2), (6, 2), (8, 2), (10, 2), (20, 2), (40, 2),
                     (65, 2), (81, 2), (161, 2), (4, 4), (5, 4), (6, 4), (10, 4),
                     (3, 6), (4, 6), (27, 4)]
@@ -498,7 +498,7 @@ def test_generator_matches_jump_reference():
         full = {**move, **{key: -v for key, v in swap.items()}}
         for part, ref in (("full", full), ("move-only", move), ("exchange-only", swap)):
             mat = cs.assemble_generator(sp, C, part=part).mat
-            assert sparse.issparse(mat) == (sp.size > cs.DENSE_CUTOFF)
+            assert sparse.issparse(mat)
             got = sparse.coo_matrix(mat)
             assert np.all(got.data != 0), (N, n, part)  # no explicit zeros
             entries = dict(zip(zip(got.row.tolist(), got.col.tolist()), got.data.tolist()))
@@ -510,12 +510,27 @@ def test_generator_matches_jump_reference():
             diag_ref = np.array([-math.fsum(r) for r in rows])
             diag = np.array([entries.get((r, r), 0.0) for r in range(sp.size)])
             assert np.all(np.abs(diag - diag_ref) <= 1e-13 * np.abs(diag_ref)), (N, n, part)
-            if sparse.issparse(mat):
-                pattern = sorted(list(off) + [(r, r) for r in range(sp.size) if diag_ref[r]])
-                ref_csr = sparse.csr_matrix((np.ones(len(pattern)), tuple(zip(*pattern))),
-                                            shape=mat.shape)
-                assert np.array_equal(mat.indptr, ref_csr.indptr)
-                assert np.array_equal(mat.indices, ref_csr.indices)
+            pattern = sorted(list(off) + [(r, r) for r in range(sp.size) if diag_ref[r]])
+            ij = np.array(pattern, dtype=int).reshape(-1, 2).T  # (2, 0) when empty
+            ref_csr = sparse.csr_matrix((np.ones(len(pattern)), tuple(ij)), shape=mat.shape)
+            assert np.array_equal(mat.indptr, ref_csr.indptr)
+            assert np.array_equal(mat.indices, ref_csr.indices)
+
+
+def test_assembly_leaves_cached_pattern_intact():
+    # A move-only pair generator has zeros on the exchange slots, which
+    # eliminate_zeros prunes; that must not touch the space's cached pattern.
+    sp = cs.enumerate_space(5, 4)
+    C = random_coeffs(5, 21)
+    pruned = cs.pair_generator(sp, 0, 1, part="move-only").mat
+    assert pruned.nnz < sp._stencil.indices.size
+    full = cs.assemble_generator(sp, C).mat
+    fresh = cs.assemble_generator(cs.enumerate_space(5, 4), C).mat
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(full, name), getattr(fresh, name)), name
+    for a, b in itertools.product((pruned.indices, pruned.indptr),
+                                  (full.indices, full.indptr)):
+        assert not np.shares_memory(a, b)
 
 
 def eigenvector_moment_flow(N, half, C):
