@@ -22,7 +22,8 @@ from momentflow.configspace import stabilizer_matching_count
 
 space = enumerate_space(N=6, n=4)
 print(f"|Lambda^4_6| = {space.size} configurations")
-print("a few members:", space.configs[:3], "...", space.configs[-2:])
+members = list(map(tuple, space.configs.tolist()))  # rows of a (size, n) array
+print("a few members:", members[:3], "...", members[-2:])
 print("pi((2,2,2,2)) =", space.pi[space.idx((2, 2, 2, 2))],
       " sqrt(pi) =", stabilizer_matching_count((2, 2, 2, 2)))
 

@@ -105,4 +105,4 @@ def ansatz_chi_coefficients(y, V, profile, n):
 
 def ansatz_function(space, y, V, profile):
     """The map x -> F(x; y) as an array over an enumerated space."""
-    return np.array([ansatz_F(x, y, V, profile) for x in space.configs])
+    return np.array([ansatz_F(x, y, V, profile) for x in space.configs.tolist()])

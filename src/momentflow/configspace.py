@@ -2,12 +2,14 @@
 operators, kernel projections, conditional expectations, local projections,
 averaging values, configuration distance, and the colorblind map.
 
-Sites are 0-based: a configuration is a tuple x in {0..N-1}^n, and membership
-in the even space requires every site occupancy to be even.  Functions over a
-space are numpy arrays indexed by the space's enumeration order, which is
-lexicographic and therefore reproducible.  Helpers over a whole space read
-label structure through each configuration's mixed-radix code and the bitmask
-of its tied label pairs, not by looping over configurations in Python.
+Sites are 0-based: a configuration is a point x in {0..N-1}^n, and membership
+in the even space requires every site occupancy to be even.  A space stores
+its configurations once, as the rows of a read-only (size, n) int64 array in
+lexicographic order; functions taking one configuration accept any length-n
+integer sequence.  Functions over a space are numpy arrays indexed by that
+order.  Helpers over a whole space read label structure through each
+configuration's mixed-radix code and the bitmask of its tied label pairs, not
+by looping over configurations in Python.
 """
 
 import functools
@@ -23,7 +25,6 @@ from ._rng import stream
 from .spectral import _cgs2
 
 SIZE_GUARD = 10**6
-FLAG_TOL = 1e-12
 
 
 def double_factorial(k):
@@ -63,11 +64,12 @@ def count_even_configurations(N, n):
 
 @dataclass
 class ConfigurationSpace:
-    """Enumerated even configuration space with measure pi and site occupancies."""
+    """Enumerated even configuration space with measure pi and site occupancies;
+    configs is the read-only (size, n) array of configurations, one per row."""
 
     N: int
     n: int
-    configs: list
+    configs: np.ndarray
     pi: np.ndarray
     occ: np.ndarray = field(repr=False)
 
@@ -107,11 +109,6 @@ class ConfigurationSpace:
         return float(np.sum(self.pi * np.asarray(f) * np.asarray(g)))
 
     @functools.cached_property
-    def _array(self):
-        """The configurations as a (size, n) integer array."""
-        return np.array(self.configs, dtype=np.int64)
-
-    @functools.cached_property
     def _radix(self):
         """Place values N^{n-1}, ..., 1 of the mixed-radix configuration code."""
         return self.N ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
@@ -120,7 +117,7 @@ class ConfigurationSpace:
     def _codes(self):
         """Codes x_1 N^{n-1} + ... + x_n, sorted because the enumeration is
         lexicographic."""
-        return self._array @ self._radix
+        return self.configs @ self._radix
 
     def _locate(self, codes):
         """Indices of the configurations with the given codes, by binary search."""
@@ -133,7 +130,7 @@ class ConfigurationSpace:
     def _ties(self):
         """Row r is the pair mask of configuration r: the bit of pair a < b is
         set when x_a = x_b.  Equal rows mean equal position partitions."""
-        X = self._array
+        X = self.configs
         return _pair_mask(X[:, :, None] == X[:, None, :])
 
     @functools.cached_property
@@ -164,27 +161,30 @@ def _even_part_multisets(n):
     return out
 
 
-def _label_assignments(labels, parts):
-    """All ways to split `labels` into ordered groups of the given sizes.
+def _label_groups(parts):
+    """Every way to split labels 0..n-1 into ordered groups of the given sizes,
+    as the rows g of an (n! / prod parts_i!, n) array with g[a] the group of
+    label a.
 
     Groups are attached to distinct sites by the caller, so every ordered
     assignment is a distinct configuration.
     """
-    if not parts:
-        yield []
-        return
-    first, rest = parts[0], parts[1:]
-    for group in itertools.combinations(labels, first):
-        remaining = tuple(l for l in labels if l not in group)
-        for tail in _label_assignments(remaining, rest):
-            yield [group] + tail
+    G = np.zeros((1, 0), dtype=np.intp)
+    room = np.array([parts])  # places left in each group, per row
+    for _ in range(sum(parts)):
+        r, g = np.nonzero(room)
+        G = np.column_stack([G[r], g])
+        room = room[r]
+        room[np.arange(r.size), g] -= 1
+    return G
 
 
 def enumerate_space(N, n, size_guard=SIZE_GUARD):
     """Complete duplicate-free enumeration of the even configuration space.
 
-    Configurations are generated occupancy pattern by occupancy pattern and
-    sorted lexicographically.  The count is computed up front and refused when
+    Configurations are generated occupancy pattern by occupancy pattern, as
+    site tuples indexed by label-to-group arrays, and sorted by code, which is
+    lexicographic order.  The count is computed up front and refused when
     above the size guard.
     """
     if n % 2 != 0 or n < 2:
@@ -192,32 +192,23 @@ def enumerate_space(N, n, size_guard=SIZE_GUARD):
     total = count_even_configurations(N, n)
     if total > size_guard:
         raise ValueError(f"space too large: |Lambda^{n}_{N}| = {total} > {size_guard}")
-    configs = []
-    labels = tuple(range(n))
+    blocks = []
     for parts in _even_part_multisets(n):
         k = len(parts)
         if k > N:
             continue
-        for sites in itertools.permutations(range(N), k):
-            # Equal parts on an unordered site set would repeat; keep the
-            # canonical representative where equal-size runs have ascending sites.
-            ok = True
-            for a in range(k - 1):
-                if parts[a] == parts[a + 1] and sites[a] > sites[a + 1]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for groups in _label_assignments(labels, parts):
-                x = [0] * n
-                for site, group in zip(sites, groups):
-                    for lbl in group:
-                        x[lbl] = site
-                configs.append(tuple(x))
-    configs.sort()
-    if len(configs) != total:
-        raise AssertionError(f"enumeration produced {len(configs)} of {total} configurations")
-    X = np.array(configs, dtype=np.int64)
+        sites = np.array(list(itertools.permutations(range(N), k)), dtype=np.int64)
+        # Equal parts on an unordered site set would repeat; keep the
+        # canonical representative where equal-size runs have ascending sites.
+        run = np.flatnonzero(np.diff(parts) == 0)
+        sites = sites[np.all(sites[:, run] < sites[:, run + 1], axis=1)]
+        blocks.append(sites[:, _label_groups(parts)].reshape(-1, n))
+    X = np.concatenate(blocks)
+    if len(X) != total:
+        raise AssertionError(f"enumeration produced {len(X)} of {total} configurations")
+    X = X[np.argsort(X @ (N ** np.arange(n - 1, -1, -1, dtype=np.int64)))]
+    # The cached codes, ties and stencil are derived from the rows.
+    X.flags.writeable = False
     occ = np.bincount((X + N * np.arange(total)[:, None]).ravel(),
                       minlength=total * N).reshape(total, N)
     # (k!!)^2 by occupancy k; exact in int64 up to n = 20 (larger n overflows
@@ -225,7 +216,7 @@ def enumerate_space(N, n, size_guard=SIZE_GUARD):
     weights = np.array([double_factorial(k) ** 2 if k % 2 == 0 else 0
                         for k in range(n + 1)], dtype=np.int64)
     pi = np.prod(weights[occ], axis=1).astype(float)
-    return ConfigurationSpace(N=N, n=n, configs=configs, pi=pi, occ=occ)
+    return ConfigurationSpace(N=N, n=n, configs=X, pi=pi, occ=occ)
 
 
 def jump(x, kind, a, b, i, j):
@@ -258,13 +249,12 @@ def jump(x, kind, a, b, i, j):
 class WeightedOperator:
     """Linear operator on functions over a configuration space.
 
-    The stored matrix acts in the function representation f -> mat @ f.  Flags
-    record structure the constructor guarantees; check_flags re-verifies them.
+    The stored matrix acts in the function representation f -> mat @ f.
+    is_pi_self_adjoint records what the constructor guarantees.
     """
 
     space: ConfigurationSpace
     mat: object
-    is_generator: bool = False
     is_pi_self_adjoint: bool = False
 
     def dense(self):
@@ -281,14 +271,6 @@ class WeightedOperator:
         """max |mat @ 1|; zero for generators."""
         ones = np.ones(self.space.size)
         return float(np.max(np.abs(self.mat @ ones)))
-
-    def check_flags(self, tol=FLAG_TOL):
-        scale = max(1.0, float(np.max(np.abs(self.dense()))))
-        if self.is_generator and self.row_sum_defect() > tol * scale:
-            raise AssertionError("generator flag violated: nonzero row sums")
-        if self.is_pi_self_adjoint and self.reversibility_defect() > tol * scale:
-            raise AssertionError("pi-self-adjointness flag violated")
-        return self
 
 
 @dataclass(frozen=True)
@@ -328,7 +310,7 @@ class _Stencil:
 def _build_stencil(space):
     """Locate every move and exchange target through its configuration code."""
     N, n = space.N, space.n
-    X, radix, codes = space._array, space._radix, space._codes
+    X, radix, codes = space.configs, space._radix, space._codes
     sites = np.arange(N)
     moves, swaps = [], []
     for a, b in itertools.combinations(range(n), 2):
@@ -404,7 +386,7 @@ def assemble_generator(space, coeffs, part="full"):
     mat = sp.csr_matrix((data, st.indices.copy(), st.indptr.copy()),
                         shape=(space.size, space.size))
     mat.eliminate_zeros()
-    return WeightedOperator(space, mat, is_generator=True, is_pi_self_adjoint=True)
+    return WeightedOperator(space, mat, is_pi_self_adjoint=True)
 
 
 def pair_generator(space, i, j, part="full", c=1.0):
@@ -483,7 +465,7 @@ def kernel_projection(space):
     rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
     Q = Q[:, :rank]
     K = (Q @ Q.T) * (half[None, :] / half[:, None])
-    return WeightedOperator(space, K, is_generator=False, is_pi_self_adjoint=True)
+    return WeightedOperator(space, K, is_pi_self_adjoint=True)
 
 
 def delta_pairing(space, op, x, y):
@@ -607,13 +589,13 @@ def conditional_expectation(space, partition):
     order of the permutations.
     """
     perms = compatible_permutations(partition, space.n)
-    X = space._array
+    X = space.configs
     cols = np.concatenate([space._locate(X[:, list(sigma)] @ space._radix)
                            for sigma in perms])
     rows = np.tile(np.arange(space.size), len(perms))
     M = sp.csr_matrix((np.full(cols.size, 1.0 / len(perms)), (rows, cols)),
                       shape=(space.size, space.size))
-    return WeightedOperator(space, M, is_generator=False, is_pi_self_adjoint=True)
+    return WeightedOperator(space, M, is_pi_self_adjoint=True)
 
 
 def site_classes(N, y, ell):
@@ -645,7 +627,7 @@ def site_classes(N, y, ell):
 def local_neighborhood(space, y, ell):
     """Indices of configurations x with x_a ~ y_a for every label a."""
     classes = site_classes(space.N, tuple(y), ell)
-    return np.flatnonzero(np.all(classes[space._array] == classes[np.asarray(y)], axis=1))
+    return np.flatnonzero(np.all(classes[space.configs] == classes[np.asarray(y)], axis=1))
 
 
 def local_projection(space, y, ell):
@@ -669,7 +651,7 @@ def local_projection(space, y, ell):
         cols = loc[refines[kind, r]]
         weights = space.pi[cols]
         M[np.ix_(loc[kind == r], cols)] = weights / weights.sum()
-    return WeightedOperator(space, M, is_generator=False, is_pi_self_adjoint=False)
+    return WeightedOperator(space, M, is_pi_self_adjoint=False)
 
 
 def averaging_indicator(x, y, K):
@@ -684,25 +666,22 @@ def averaging_values(space, K, y):
     """Av(x; K, y) over the whole space."""
     if K < 1:
         raise ValueError("averaging scale K must be >= 1")
-    y = np.asarray(y)
-    configs = np.asarray(space.configs)
-    d = np.abs(configs - y[None, :]).sum(axis=1)
+    d = np.abs(space.configs - np.asarray(y)).sum(axis=1)
     return np.clip((2 * K - 1 - d) / K, 0.0, 1.0)
 
 
 def config_distance(x, y, window):
-    """Regular configuration distance sup_a |window ∩ [min(x_a,y_a), max(x_a,y_a))|.
+    """Regular configuration distance sup_a |window ∩ [min(x_a,y_a), max(x_a,y_a))|,
+    for one configuration x or a stack of them of shape (..., n).
 
     Symmetric and triangle-inequality compliant, but degenerate when the
     window misses the sweep intervals.
     """
     w = np.sort(np.asarray(window, dtype=np.intp))
-    best = 0
-    for xa, ya in zip(x, y):
-        lo, hi = (xa, ya) if xa <= ya else (ya, xa)
-        count = int(np.searchsorted(w, hi, side="left") - np.searchsorted(w, lo, side="left"))
-        best = max(best, count)
-    return best
+    x, y = np.asarray(x), np.asarray(y)
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    count = np.searchsorted(w, hi, side="left") - np.searchsorted(w, lo, side="left")
+    return count.max(axis=-1)
 
 
 def occupancy_fibers(space):
@@ -747,4 +726,4 @@ def colorblind_projector(space):
     for idxs in occupancy_fibers(space).values():
         w = space.pi[idxs]
         M[np.ix_(idxs, idxs)] = w[None, :] / w.sum()
-    return WeightedOperator(space, M, is_generator=False, is_pi_self_adjoint=True)
+    return WeightedOperator(space, M, is_pi_self_adjoint=True)

@@ -326,7 +326,8 @@ def _generator_validate_experiment(cfg):
     space = cs.enumerate_space(N, 2)
     sched = rx.CoefficientSchedule.from_eigenvalues(lam0)
     B = cs.assemble_generator(space, sched.coefficients())
-    f0 = np.array([N * v1[x[0]] * v2[x[0]] for x in space.configs])
+    site = space.configs[:, 0]  # configuration (i, i) sits at site i
+    f0 = N * v1[site] * v2[site]
     exact = B.mat @ f0
 
     lam_T, U_T = see_endpoint_ensemble(lam0, frame0, cfg.delta, cfg.dt, cfg.paths,
@@ -338,7 +339,7 @@ def _generator_validate_experiment(cfg):
     se = obs.std(axis=0, ddof=1) / math.sqrt(cfg.paths) / cfg.delta
 
     rows = []
-    for ix, x in enumerate(space.configs):
+    for ix, x in enumerate(map(tuple, space.configs.tolist())):
         i = x[0]
         _check(checks, f"drift-config-{i}", fd[i], exact[ix], 3.0 * se[i])
         rows.append((str(x), float(exact[ix]), float(fd[i]), float(se[i])))
@@ -379,6 +380,7 @@ def _operator_suite_experiment(cfg):
     checks, tables = [], {}
     N, n = cfg.N, cfg.n
     space = cs.enumerate_space(N, n)
+    configs = list(map(tuple, space.configs.tolist()))  # Python ints for report cells
     rng = stream(cfg.seed, 4)
     C = rng.uniform(0.1, 1.0, size=(N, N))
     C = 0.5 * (C + C.T)
@@ -414,7 +416,7 @@ def _operator_suite_experiment(cfg):
 
     stab_ok = all(
         cs.stabilizer_matching_count(x) == round(math.sqrt(space.pi[ix]))
-        for ix, x in enumerate(space.configs)
+        for ix, x in enumerate(configs)
     )
     _check(checks, "stabilizer-sqrt-pi", float(stab_ok), 1.0, 0)
 
@@ -433,7 +435,7 @@ def _operator_suite_experiment(cfg):
         Ct = 0.5 * (Ct + Ct.T)
         np.fill_diagonal(Ct, 0.0)
         sched = rx.CoefficientSchedule.constant(Ct)
-        x = space.configs[int(trng.integers(space.size))]
+        x = configs[int(trng.integers(space.size))]
         s = float(trng.uniform(0.0, 1.0))
         res = rx.propagate(space, sched, space.delta(x), 0.0, s, steps=4)
         worst_l1 = max(worst_l1, space.norm_l1(res.final))
@@ -443,12 +445,12 @@ def _operator_suite_experiment(cfg):
     rows = []
     worst_sigma = 0.0
     if n == 2:
-        pairs = [(x, y) for x in space.configs for y in space.configs]
+        pairs = [(x, y) for x in configs for y in configs]
     else:
         prng = stream(cfg.seed, 6)
         pairs = [
-            (space.configs[int(prng.integers(space.size))],
-             space.configs[int(prng.integers(space.size))])
+            (configs[int(prng.integers(space.size))],
+             configs[int(prng.integers(space.size))])
             for _ in range(20)
         ]
     ests, ses = cs.haar_kernel_entries(N, pairs, cfg.haar_samples, (cfg.seed, 7))
@@ -593,7 +595,7 @@ def _ansatz_compare_experiment(cfg):
 
     rows = []
     worst = 0.0
-    for x in space.configs:
+    for x in map(tuple, space.configs.tolist()):
         wick = ansatz_mod.gaussian_wick_moment(x, V, N=N)
         F = ansatz_mod.ansatz_F(x, x, V, profile)
         worst = max(worst, abs(wick - F))

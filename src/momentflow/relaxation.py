@@ -385,8 +385,7 @@ def fsp_profile(space, schedule, y, ell, window, s1, s2):
     short = schedule.short_range(ell, window)
     steps = max(64, _stable_steps(space, short, s1, s2)) if short.time_dependent else 1
     f = propagate(space, short, space.delta(y), s1, s2, steps).final
-    dist = np.array([config_distance(x, tuple(y), window) for x in space.configs])
-    return FSPProfile(dist=dist, values=np.abs(f))
+    return FSPProfile(dist=config_distance(space.configs, y, window), values=np.abs(f))
 
 
 def l1_growth(space, schedule, s_grid):

@@ -12,11 +12,12 @@ from momentflow._rng import stream
 
 
 def brute_force_even(N, n):
-    out = []
-    for x in itertools.product(range(N), repeat=n):
-        if all(c % 2 == 0 for c in np.bincount(x, minlength=N)):
-            out.append(x)
-    return sorted(out)
+    """Every x in {0..N-1}^n with even site occupancies, in lexicographic
+    order: the base-N digits of the codes 0..N^n - 1, kept where the XOR of the
+    one-hot site bits 2^{x_a} is zero (needs N <= 62)."""
+    X = np.arange(N**n)[:, None] // N ** np.arange(n - 1, -1, -1) % N
+    parity = np.bitwise_xor.reduce(np.left_shift(1, X), axis=1)
+    return X[parity == 0]
 
 
 def random_coeffs(N, seed, lo=0.1, hi=1.0):
@@ -43,15 +44,29 @@ def sym_measure(space, mat):
 
 def test_enumeration_small_cases():
     sp = cs.enumerate_space(2, 2)
-    assert sp.configs == [(0, 0), (1, 1)]
+    assert sp.configs.dtype == np.int64
+    assert np.array_equal(sp.configs, [(0, 0), (1, 1)])
     assert np.all(sp.pi == 1.0)
 
 
 def test_enumeration_matches_brute_force():
-    for N, n in [(3, 2), (4, 4), (5, 4), (3, 6)]:
+    # Lambda^4_27 is the DBM workload's space.
+    for N, n in [(3, 2), (4, 4), (5, 4), (3, 6), (27, 4), (8, 6)]:
         sp = cs.enumerate_space(N, n)
-        assert sp.configs == brute_force_even(N, n)
+        assert np.array_equal(sp.configs, brute_force_even(N, n)), (N, n)
     assert cs.enumerate_space(10, 4).size == 280
+
+
+def test_configs_are_read_only():
+    # Rows are views of the array that the cached codes, ties and stencil are
+    # derived from, so an in-place write must fail instead of desyncing them.
+    sp = cs.enumerate_space(4, 4)
+    x = sp.configs[1]
+    with pytest.raises(ValueError):
+        x[0] = 3
+    with pytest.raises(ValueError):
+        sp.configs[0, 0] = 1
+    assert np.array_equal(sp.configs[1], (0, 0, 1, 1))
 
 
 def test_enumeration_guard():
@@ -64,7 +79,8 @@ def test_idx_rejects_configurations_outside_the_space():
     assert [sp.idx(x) for x in sp.configs] == list(range(sp.size))
     # (0, 0, 5, 5) has the code 5 * 5 + 5 = 30 of (0, 1, 1, 0), which is in
     # the space; only the site range check tells them apart.
-    assert sp.idx((0, 1, 1, 0)) == sp.configs.index((0, 1, 1, 0))
+    assert [sp.idx((0, 1, 1, 0))] == np.flatnonzero(
+        np.all(sp.configs == (0, 1, 1, 0), axis=1)).tolist()
     for x in [(0, 0, 5, 5), (0, 0, 1), (0, 0, 1, 1, 2, 2), (-1, -1, 0, 0), (0, 0, 0, 1)]:
         with pytest.raises(KeyError):
             sp.idx(x)
@@ -123,7 +139,6 @@ def test_reversibility_and_row_sums():
             op = cs.assemble_generator(sp, random_coeffs(N, 2), part=part)
             assert op.reversibility_defect() <= 1e-12
             assert op.row_sum_defect() <= 1e-12
-            op.check_flags()
 
 
 def test_negative_semidefinite_parts():
@@ -338,10 +353,11 @@ def apply_label_permutation(sigma, x):
 def reference_conditional_expectation(sp, partition):
     """E_P built one configuration and one permutation at a time, through a
     tuple index of its own rather than the space's code lookup."""
-    index = {x: i for i, x in enumerate(sp.configs)}
+    configs = list(map(tuple, sp.configs.tolist()))
+    index = {x: i for i, x in enumerate(configs)}
     perms = cs.compatible_permutations(partition, sp.n)
     M = np.zeros((sp.size, sp.size))
-    for ix, x in enumerate(sp.configs):
+    for ix, x in enumerate(configs):
         for sigma in perms:
             M[ix, index[apply_label_permutation(sigma, x)]] += 1.0 / len(perms)
     return M
@@ -408,7 +424,7 @@ def test_local_neighborhood_radius_convention():
     # ell = 1 gives singleton classes: the neighborhood is just {y}
     sp = cs.enumerate_space(8, 2)
     loc = cs.local_neighborhood(sp, (4, 4), 1)
-    assert [sp.configs[i] for i in loc] == [(4, 4)]
+    assert np.array_equal(sp.configs[loc], [(4, 4)])
 
 
 def test_averaging_coefficients():
@@ -438,6 +454,11 @@ def test_config_distance():
         assert cs.config_distance(x, z, w) <= (
             cs.config_distance(x, y, w) + cs.config_distance(y, z, w)
         )
+    # A stack of configurations gives the distance of each row.
+    sp = cs.enumerate_space(6, 4)
+    y = (2, 2, 3, 3)
+    assert np.array_equal(cs.config_distance(sp.configs, y, w),
+                          [cs.config_distance(x, y, w) for x in sp.configs.tolist()])
 
 
 def test_colorblind_transport():
@@ -472,9 +493,10 @@ def reference_parts(space, C):
     documented move weight 2 (n_j+1)/(n_i-1) and exchange weight 2.  Targets
     are found through a tuple index of its own, not the space's code lookup.
     """
-    index = {x: i for i, x in enumerate(space.configs)}
+    configs = list(map(tuple, space.configs.tolist()))
+    index = {x: i for i, x in enumerate(configs)}
     move, swap = {}, {}
-    for ix, x in enumerate(space.configs):
+    for ix, x in enumerate(configs):
         occ = space.occ[ix]
         for a, b in itertools.permutations(range(space.n), 2):
             i, k = x[a], x[b]

@@ -55,6 +55,18 @@ def test_operator_suite_six_labels():
     assert len(comm) == 1 and comm[0].value <= 1e-12
 
 
+def test_operator_suite_report_cells_are_configuration_tuples():
+    # A configuration cell is str() of a tuple of Python ints, "(0, 0, 1, 1)";
+    # a numpy row would print "[0 0 1 1]" or "(np.int64(0), ...)".
+    cfg = ExperimentConfig(kind="operator-suite")
+    rep = run_experiment(cfg)
+    space = cs.enumerate_space(cfg.N, cfg.n)
+    cells = {str(tuple(int(v) for v in row)) for row in space.configs}
+    headers, rows = rep.tables["haar-crosscheck"]
+    assert headers[:2] == ["x", "y"]
+    assert rows and all(x in cells and y in cells for x, y, *_ in rows)
+
+
 @pytest.mark.parametrize("N", [6, 8])
 def test_sparse_operator_checks_match_dense_loop(N):
     # operator-suite's sparse commutation defect and support-restricted top
