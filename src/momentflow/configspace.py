@@ -216,6 +216,10 @@ def enumerate_space(N, n, size_guard=SIZE_GUARD):
     weights = np.array([double_factorial(k) ** 2 if k % 2 == 0 else 0
                         for k in range(n + 1)], dtype=np.int64)
     pi = np.prod(weights[occ], axis=1).astype(float)
+    # occ and pi are derived from the rows as well, and the cached stencil
+    # copies occ at its first assembly.
+    occ.flags.writeable = False
+    pi.flags.writeable = False
     return ConfigurationSpace(N=N, n=n, configs=X, pi=pi, occ=occ)
 
 

@@ -301,8 +301,7 @@ def _assumptions_experiment(cfg):
     profile = FreeConvolutionProfile(dec, cfg.t)
     gamma = classical_locations(profile)
     grid = np.linspace(cfg.window.E0 - cfg.window.r, cfg.window.E0 + cfg.window.r, 50)
-    resid = max(fixed_point_residual(profile, complex(E)) for E in grid)
-    resid = max(resid, max(fixed_point_residual(profile, complex(E, 0.1)) for E in grid))
+    resid = float(np.max(fixed_point_residual(profile, np.concatenate([grid, grid + 0.1j]))))
     _bound_check(checks, "fixed-point-residual", resid, profile.tolerance)
     _bound_check(checks, "quantile-defect", quantile_defect(profile), 1e-6)
     _bound_check(checks, "gamma-monotone-defect",

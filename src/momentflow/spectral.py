@@ -17,10 +17,11 @@ RECON_TOL = 1e-8
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_DAMPING = 0.5
 FIXED_POINT_CAP = 10_000
-# Spectral parameters per vectorized fixed-point solve.  Each Newton step
-# allocates complex (N x chunk) temporaries, 1 MB at N = 500.  Much larger ones
-# can sit above glibc's mmap threshold and be mapped afresh at every step: at
-# 1024 points (8 MB) that cost about 30 minor page faults per point solved.
+# Spectral parameters per vectorized fixed-point solve.  Each chunk allocates
+# one complex (N x chunk) work buffer, 1 MB at N = 500, and every iteration of
+# its solve, cold or warm, computes its reciprocals in place there: fresh
+# temporaries that size would sit above glibc's mmap threshold and be mapped
+# afresh at every step.
 FIXED_POINT_CHUNK = 128
 # Classical locations: stop when every |F(gamma_i) - (i - 1/2)/N| is below
 # QUANTILE_TOL (the rounding floor of F is about 4e-14 at N = 1000), and raise
@@ -209,45 +210,34 @@ class FreeConvolutionProfile:
         return np.mean(1.0 / (lam[:, None] - np.atleast_1d(w)[None, :]), axis=0)
 
 
-def _solve_fixed_point(profile, zs):
-    """Vectorized solve of m = m_N(z + t m) on the upper-half-plane branch.
+def _mean_reciprocal(lam, w, work):
+    """mean_k 1/(lam_k - w_j) for each column j, leaving 1/(lam_k - w_j) in work.
 
-    Damped iteration (factor profile.damping) provides a globally stable
-    warmup, but its convergence rate degenerates to 1 at spectral edges, so a
-    Newton stage polishes the residual down to the tolerance; at a branch
-    point the root is double and Newton still gains two residual digits per
-    few steps.
+    work is an (N, w.size) complex buffer that is overwritten in place.
     """
-    t, omega = profile.t, profile.damping
+    np.subtract(lam[:, None], w[None, :], out=work)
+    np.reciprocal(work, out=work)
+    return work.mean(axis=0)
+
+
+def _newton(profile, zs, m, active, buf, centre=None):
+    """Guarded Newton on m[active], in place, until each residual is below
+    the tolerance; raises after profile.max_iterations steps.
+
+    With centre, a point whose iterate leaves the disc |m - centre| <=
+    Im centre / 2 stops there; the indices of those points are returned.
+    """
+    t, omega, tol = profile.t, profile.damping, profile.tolerance
     lam = profile.reference.eigenvalues
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    if zs.size > FIXED_POINT_CHUNK:
-        return np.concatenate(
-            [_solve_fixed_point(profile, zs[k:k + FIXED_POINT_CHUNK])
-             for k in range(0, zs.size, FIXED_POINT_CHUNK)]
-        )
-    m = profile.empirical_stieltjes(zs + 1j * t)
-    tol = profile.tolerance
-    active = np.arange(zs.size)
-    warmup = min(profile.max_iterations, 12)
-    for _ in range(warmup):
-        target = profile.empirical_stieltjes(zs[active] + t * m[active])
-        resid = np.abs(m[active] - target)
-        m[active] = (1.0 - omega) * m[active] + omega * target
-        active = active[resid > tol]
-        if active.size == 0:
-            return m
-    converged = False
+    left = [active[:0]]
     for _ in range(profile.max_iterations):
-        w = zs[active] + t * m[active]
-        diffs = lam[:, None] - w[None, :]
-        target = np.mean(1.0 / diffs, axis=0)
+        work = buf[:, :active.size]
+        target = _mean_reciprocal(lam, zs[active] + t * m[active], work)
         resid = np.abs(m[active] - target)
         done = resid <= tol
         if np.all(done):
-            converged = True
-            break
-        deriv = 1.0 - t * np.mean(1.0 / diffs**2, axis=0)
+            return np.concatenate(left)
+        deriv = 1.0 - t * np.square(work, out=work).mean(axis=0)
         deriv = np.where(np.abs(deriv) < 1e-14, 1.0, deriv)
         step = (m[active] - target) / deriv
         # Trust cap: fall back toward the damped update on wild steps.
@@ -256,11 +246,62 @@ def _solve_fixed_point(profile, zs):
         step = np.where(wild, omega * (m[active] - target), step)
         m[active] = np.where(done, m[active], m[active] - step)
         active = active[~done]
-    if not converged:
-        raise RuntimeError(
-            "free-convolution fixed point did not converge: "
-            f"worst residual {resid.max():.3g}"
+        if centre is not None:
+            out = np.abs(m[active] - centre[active]) > 0.5 * centre[active].imag
+            left.append(active[out])
+            active = active[~out]
+    raise RuntimeError(
+        "free-convolution fixed point did not converge: "
+        f"worst residual {resid.max():.3g}"
+    )
+
+
+def _solve_fixed_point(profile, zs, m0=None):
+    """Vectorized solve of m = m_N(z + t m) on the upper-half-plane branch.
+
+    A cold solve starts from m_N(z + i t) and runs damped iteration (factor
+    profile.damping) as a globally stable warmup, but its convergence rate
+    degenerates to 1 at spectral edges, so a Newton stage polishes the
+    residual down to the tolerance; at a branch point the root is double and
+    Newton still gains two residual digits per few steps.
+
+    m0, when given, holds the converged m at a nearby z for each point, and
+    the solve starts warm: Newton from m0, with no warmup.  The branch's root
+    is the only one in the open upper half plane, so a root found inside the
+    disc |m - m0| <= Im m0 / 2 is the branch's; a point whose iterate leaves
+    that disc solves cold.  So does every point with a real m0 that is not
+    already a root: Newton on a real z never leaves the real axis, where the
+    equation has spurious real roots between the poles.  Only
+    classical_locations' later rounds pass m0; every other caller solves
+    cold, so the certificates built on F and on the residual never rest on a
+    warm start.
+    """
+    t, omega = profile.t, profile.damping
+    lam = profile.reference.eigenvalues
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    if zs.size > FIXED_POINT_CHUNK:
+        return np.concatenate(
+            [_solve_fixed_point(profile, zs[k:k + FIXED_POINT_CHUNK],
+                                None if m0 is None else m0[k:k + FIXED_POINT_CHUNK])
+             for k in range(0, zs.size, FIXED_POINT_CHUNK)]
         )
+    # Every step writes its (N x active) reciprocals into this one buffer.
+    buf = np.empty((lam.size, zs.size), dtype=complex)
+    active = np.arange(zs.size)
+    if m0 is None:
+        m = _mean_reciprocal(lam, zs + 1j * t, buf)
+    else:
+        m = np.array(m0, dtype=complex)
+        active = _newton(profile, zs, m, active, buf, centre=m0)
+        m[active] = _mean_reciprocal(lam, zs[active] + 1j * t, buf[:, :active.size])
+    for _ in range(min(profile.max_iterations, 12)):
+        if active.size == 0:
+            break
+        target = _mean_reciprocal(lam, zs[active] + t * m[active], buf[:, :active.size])
+        resid = np.abs(m[active] - target)
+        m[active] = (1.0 - omega) * m[active] + omega * target
+        active = active[resid > profile.tolerance]
+    _newton(profile, zs, m, active, buf)
     # The branch has Im m >= 0; clip roundoff-level negatives when harmless.
     dirty = m.imag < 0
     if np.any(dirty):
@@ -287,31 +328,41 @@ def free_convolution_m(profile, z):
 
 
 def fixed_point_residual(profile, z, m=None):
-    """|m - m_N(z + t m)| at the cached (or supplied) fixed point."""
+    """|m - m_N(z + t m)| at the cached (or supplied) fixed point.
+
+    An array of z is solved cold in one vectorized call, bypassing the cache,
+    and gives an array of residuals.
+    """
+    if np.ndim(z):
+        z = np.asarray(z, dtype=complex)
+        if m is None:
+            m = _solve_fixed_point(profile, z)
+        return np.abs(m - profile.empirical_stieltjes(z + profile.t * m))
     if m is None:
         m = free_convolution_m(profile, z)
     target = complex(profile.empirical_stieltjes(complex(z) + profile.t * m)[0])
     return abs(m - target)
 
 
-def _cdf_and_density(profile, energies):
-    """Distribution function F and density F' of mu_N [+] sigma_t at real energies.
+def _cdf_and_density(profile, energies, m0=None):
+    """F, F' of mu_N [+] sigma_t at real energies, and the fixed point m there.
 
     With m the fixed point at E and omega = E + t m, the log potential
     L_t(E) = mean_k log(omega - lambda_k) + t m^2 / 2 satisfies dL_t/dE = -m
     (subordination, Biane 1997), so F(E) = 1 - Im L_t(E + i0) / pi.  L_t is
     stationary in m at the fixed point, so F carries the square of the
-    fixed-point error; no quadrature enters.  F' = Im m / pi.
+    fixed-point error; no quadrature enters.  F' = Im m / pi.  The fixed point
+    starts cold unless m0 supplies a warm start.
     """
     t = profile.t
     lam = profile.reference.eigenvalues
-    m = _solve_fixed_point(profile, energies)
+    m = _solve_fixed_point(profile, energies, m0)
     omega = energies + t * m
     # omega lies in the closed upper half plane, so each argument runs from pi
     # (left of lambda_k) down to 0; abs() keeps a signed zero from giving -pi.
     args = np.arctan2(np.abs(omega.imag), omega.real - lam[:, None])
     F = 1.0 - (np.mean(args, axis=0) + t * m.real * m.imag) / math.pi
-    return F, m.imag / math.pi
+    return F, m.imag / math.pi, m
 
 
 def _semicircle_quantiles(levels):
@@ -336,10 +387,12 @@ def classical_locations(profile):
     _cdf_and_density), vectorized over i.  It starts from the moment-matched
     semicircle, mean(lambda) + sqrt(var(lambda) + t) times the unit semicircle
     quantile, which is exact for a zero reference.  Each round solves the fixed
-    point afresh at the current points, narrows the bracket [a, b] with
+    point at the current points, cold in the first round and warm from each
+    point's previous m after that, then narrows the bracket [a, b] with
     F(a) < level < F(b), and takes the Newton step only when it lands strictly
     inside the bracket, bisecting otherwise.  Points whose |F - level| reaches
     QUANTILE_TOL stop; a point still short after QUANTILE_ROUNDS raises.
+    quantile_defect re-solves cold, independently of the warm rounds.
     """
     if profile._gamma is not None:
         return profile._gamma
@@ -353,9 +406,10 @@ def classical_locations(profile):
     start = lam.mean() + math.sqrt(lam.var() + t) * _semicircle_quantiles(levels)
     gamma = np.clip(start, a, b)
     active = np.arange(N)
-    for _ in range(QUANTILE_ROUNDS):
+    m = np.empty(N, dtype=complex)
+    for r in range(QUANTILE_ROUNDS):
         x = gamma[active]
-        F, density = _cdf_and_density(profile, x)
+        F, density, m[active] = _cdf_and_density(profile, x, m[active] if r else None)
         miss = F - levels[active]
         done = np.abs(miss) <= QUANTILE_TOL
         below = miss < 0
@@ -388,7 +442,7 @@ def quantile_defect(profile, gamma=None):
         gamma = classical_locations(profile)
     N = profile.reference.eigenvalues.size
     levels = (np.arange(1, N + 1) - 0.5) / N
-    F, _ = _cdf_and_density(profile, gamma)
+    F, _, _ = _cdf_and_density(profile, gamma)
     return float(np.max(np.abs(F - levels)))
 
 
@@ -465,10 +519,9 @@ def verify_assumptions(dec, window, S, exponent_budget=0.5, n_energy=25, n_eta=1
     sup_green = 0.0
     if S:
         A = dec.frame.T @ np.stack(S, axis=1)
-        for z in zs:
-            weights = z.imag / np.abs(lam - z) ** 2
-            forms = A.T @ (weights[:, None] * A)
-            sup_green = max(sup_green, float(np.max(np.abs(forms))))
+        weights = zs.imag / np.abs(lam[:, None] - zs[None, :]) ** 2
+        forms = np.einsum("ka,kz,kb->zab", A, weights, A, optimize=True)
+        sup_green = float(np.max(np.abs(forms)))
 
     budget = dec.N ** exponent_budget
     return AssumptionReport(

@@ -67,6 +67,11 @@ def test_configs_are_read_only():
     with pytest.raises(ValueError):
         sp.configs[0, 0] = 1
     assert np.array_equal(sp.configs[1], (0, 0, 1, 1))
+    # The occupancies and weights are derived from the same rows.
+    with pytest.raises(ValueError):
+        sp.occ[0, 0] = 7
+    with pytest.raises(ValueError):
+        sp.pi[0] = 3.0
 
 
 def test_enumeration_guard():

@@ -12,13 +12,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Lines a demo must print verbatim, for the demos that pin one.
 EXPECTED_LINES = {
+    "02_free_convolution.py": "m_fc,1(0) = 1j  (exactly i for the semicircle)",
     "03_configuration_space.py":
         "a few members: [(0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 2, 2)] ... "
         "[(5, 5, 4, 4), (5, 5, 5, 5)]",
 }
 
 
-@pytest.mark.parametrize("script", ["03_configuration_space.py", "04_relaxation_inequalities.py",
+@pytest.mark.parametrize("script", ["01_ensembles_and_spectra.py", "02_free_convolution.py",
+                                    "03_configuration_space.py", "04_relaxation_inequalities.py",
                                     "06_see_paths.py"])
 def test_demo_runs(script):
     env = dict(os.environ)

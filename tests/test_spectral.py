@@ -179,6 +179,12 @@ def test_free_convolution_real_axis_stall_raises():
     with pytest.raises(RuntimeError, match="did not converge"):
         spx.free_convolution_m(prof, 0.3)
     assert not prof._cache
+    # A warm start skips the warmup but keeps the Newton stage's cap.  The
+    # converged m at 0.35 lies well inside its disc, so the warm stage raises.
+    nearby = spx.FreeConvolutionProfile(prof.reference, prof.t)
+    m0 = spx._solve_fixed_point(nearby, np.array([0.35]))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        spx._solve_fixed_point(prof, np.array([0.3]), m0=m0)
 
 
 def test_free_convolution_residual_grid():
@@ -186,20 +192,70 @@ def test_free_convolution_residual_grid():
     prof = spx.FreeConvolutionProfile(dec, 0.5)
     pts = [complex(E, eta) for E in np.linspace(-2, 2, 10)
            for eta in (0.0, 0.01, 0.1, 0.5, 1.0)]
-    worst = max(spx.fixed_point_residual(prof, z) for z in pts)
-    assert worst <= prof.tolerance
+    per_point = np.array([spx.fixed_point_residual(prof, z) for z in pts])
+    assert per_point.max() <= prof.tolerance
     for z in pts:
         assert spx.free_convolution_m(prof, z).imag >= 0
+    # One batched cold solve gives the per-point residuals.
+    batched = spx.fixed_point_residual(prof, np.array(pts))
+    assert batched.shape == (len(pts),)
+    assert np.max(np.abs(batched - per_point)) <= 1e-15
 
 
 def test_fixed_point_chunking_is_bitwise(monkeypatch):
-    # Every point iterates on its own, so the chunk length cannot move m.
+    # Every point iterates on its own, so the chunk length cannot move m,
+    # cold or warm-started from a neighbour's m.
     prof = spx.FreeConvolutionProfile(spx.eig_sym(ens.sample_goe(40, 12)), 0.5)
     grid = np.linspace(-3.0, 3.0, 1000)
     chunked = spx._solve_fixed_point(prof, grid)
+    m0 = chunked[np.r_[1, :grid.size - 1]]
+    warm = spx._solve_fixed_point(prof, grid, m0=m0)
     assert grid.size > spx.FIXED_POINT_CHUNK
     monkeypatch.setattr(spx, "FIXED_POINT_CHUNK", 1024)
     assert np.array_equal(chunked, spx._solve_fixed_point(prof, grid))
+    assert np.array_equal(warm, spx._solve_fixed_point(prof, grid, m0=m0))
+
+
+def test_warm_start_matches_cold_at_classical_locations(monkeypatch):
+    # Each point starts from its neighbour's converged m, the first from its
+    # right neighbour: the warm Newton stage lands on the root the cold solve
+    # finds.  Both stop once the residual is below the tolerance, so m agrees
+    # to about that tolerance, while F, stationary in m, agrees to rounding.
+    prof = spx.FreeConvolutionProfile(spx.eig_sym(ens.sample_goe(500, 7)), 0.5)
+    gamma = spx.classical_locations(prof)
+    F_cold, _, cold = spx._cdf_and_density(prof, gamma)
+    m0 = cold[np.r_[1, :gamma.size - 1]]
+    newton, left = spx._newton, []
+
+    def spy(*args, centre=None):
+        out = newton(*args, centre=centre)
+        if centre is not None:
+            left.append(out)
+        return out
+
+    monkeypatch.setattr(spx, "_newton", spy)
+    F_warm, _, warm = spx._cdf_and_density(prof, gamma, m0)
+    # Every point stayed warm: none left its disc for a cold solve.
+    assert left and sum(ix.size for ix in left) == 0
+    assert np.max(spx.fixed_point_residual(prof, gamma, m=warm)) <= prof.tolerance
+    assert np.max(np.abs(warm - cold)) <= 10 * prof.tolerance
+    assert np.max(np.abs(F_warm - F_cold)) <= 1e-13
+
+
+@pytest.mark.parametrize("lam, t", [
+    (np.r_[np.full(50, -1.0), np.full(50, 1.0)], 0.05),
+    (np.r_[np.full(30, -2.0), np.full(40, 0.0), np.full(30, 3.0)], 0.02),
+    (np.linalg.eigvalsh(ens.sample_goe(200, 3)), 1e-3),
+], ids=["two-cluster", "three-cluster", "goe200-small-t"])
+def test_classical_locations_warm_rounds_keep_the_branch(lam, t):
+    # The moment-matched start puts points in gaps of the support, where m is
+    # real, and later rounds move points by more than their m's imaginary
+    # part.  Newton from such an m lands on a spurious real root or on the
+    # conjugate root, so those points must solve cold.
+    prof = spx.FreeConvolutionProfile(spx.SpectralDecomposition(lam, np.eye(lam.size)), t)
+    gamma = spx.classical_locations(prof)
+    assert np.all(np.diff(gamma) >= 0)
+    assert spx.quantile_defect(prof) <= 1e-12
 
 
 def test_classical_locations_goe_against_quadrature():
@@ -324,6 +380,25 @@ def test_verify_assumptions_goe():
     assert rep.inf_im_m >= 0.25 and rep.sup_im_m <= 4.0
     assert rep.eigenvalue_pass
     assert rep.sup_green <= 10.0
+
+
+def test_verify_assumptions_matches_grid_loop():
+    # Oracle: one Green-form contraction per grid point, as a Python loop.
+    N = 500
+    dec = spx.eig_sym(ens.sample_goe(N, 7))
+    window = spx.RegularityWindow(E0=0.0, r=1.0, eta_star=N**-0.9, kappa=0.1, C=4.0)
+    rng = stream(8)
+    S = [unit(rng, N), unit(rng, N)]
+    rep = spx.verify_assumptions(dec, window, S)
+
+    lo, hi = window.energy_interval()
+    zs = (np.linspace(lo, hi, 25)[:, None] + 1j * np.geomspace(window.eta_star, 1.0, 15)).ravel()
+    A = dec.frame.T @ np.stack(S, axis=1)
+    oracle = 0.0
+    for z in zs:
+        weights = z.imag / np.abs(dec.eigenvalues - z) ** 2
+        oracle = max(oracle, float(np.max(np.abs(A.T @ (weights[:, None] * A)))))
+    assert abs(rep.sup_green - oracle) <= 1e-13 * oracle
 
 
 def test_verify_assumptions_atomic_fails():
