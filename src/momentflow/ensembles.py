@@ -168,22 +168,26 @@ def sample_generalized_wigner(spec):
     if spec.kind != "generalized-wigner":
         raise ValueError("spec.kind must be 'generalized-wigner'")
     N = spec.N
-    profile = spec.variance_profile
-    if profile is None:
-        profile = flat_profile(N)
+    if spec.variance_profile is None:
+        # The flat profile (N sigma^2 = 1) passes every check when the declared
+        # bound is at least 1, and math.sqrt(1/N) is np.sqrt of each entry.
+        if spec.profile_bound < 1.0:
+            _check_profile(flat_profile(N), N, spec.profile_bound)
+        sigma_up = sigma_diag = math.sqrt(1.0 / N)
     else:
-        profile = np.asarray(profile, dtype=float)
-    _check_profile(profile, N, spec.profile_bound)
-    sigma = np.sqrt(profile)
+        profile = np.asarray(spec.variance_profile, dtype=float)
+        _check_profile(profile, N, spec.profile_bound)
+        sigma = np.sqrt(profile)
+        sigma_up = sigma.reshape(-1)[_mirror_indices(N)[0]]
+        sigma_diag = np.diag(sigma)
     rng = stream(spec.seed)
-    sigma_up = sigma.reshape(-1)[_mirror_indices(N)[0]]
-    n_up = sigma_up.size
+    n_up = N * (N - 1) // 2
     if spec.entry_law == "bernoulli":
         upper = (2.0 * rng.integers(0, 2, size=n_up) - 1.0) * sigma_up
-        diag = (2.0 * rng.integers(0, 2, size=N) - 1.0) * np.diag(sigma)
+        diag = (2.0 * rng.integers(0, 2, size=N) - 1.0) * sigma_diag
     else:
         upper = rng.standard_normal(n_up) * sigma_up
-        diag = rng.standard_normal(N) * np.diag(sigma)
+        diag = rng.standard_normal(N) * sigma_diag
     return _symmetrize_upper(upper, diag)
 
 

@@ -2,14 +2,18 @@
 estimation.
 
 The SEE (stochastic eigenstate equation, coupled to Dyson Brownian motion) is
-advanced by one batched Euler-Maruyama step, `_see_step`, over a leading path
-axis: Householder QR orthonormalizes a single path and CGS2 a batch.  The
-single path (`integrate_see`) halves and retries a step whose eigenvalues
-cross; the fixed-step ensemble (`see_endpoint_ensemble`) reorders crossed
-paths and logs their count.  The paths exist to validate the
-configuration-space generator; the Monte Carlo trials use one-shot direct
-perturbation plus a fresh eigensolve of only the needed eigenpairs per trial,
-which is exact in distribution and free of discretization bias.
+advanced by one batched Euler-Maruyama step, `_see_step`, with the path axis
+last: eigenvalues are (N, b) and frames (N, N, b), stored column-major in the
+layout `spectral._cgs2` consumes, so every elementwise op and reduction runs
+over contiguous paths and no step transposes.  Householder QR orthonormalizes
+a single path and CGS2 a batch.  The single path (`integrate_see`) draws its
+noise on demand, and halves and retries a step whose eigenvalues cross.  The
+fixed-step ensemble (`see_endpoint_ensemble`) draws the next step's noise on
+one worker thread while the current step runs, reorders crossed paths and
+logs their count.  The paths exist to validate the configuration-space
+generator; the Monte Carlo trials use one-shot direct perturbation plus a
+fresh eigensolve of only the needed eigenpairs per trial, which is exact in
+distribution and free of discretization bias.
 """
 
 import logging
@@ -58,78 +62,105 @@ class EigenPath:
 
 
 def _orthonormalize(U):
-    """Orthonormal Q factors of a (b, N, N) batch, column signs left to the caller.
+    """Orthonormal Q factors of an (N, N, b) column-major batch, in place for b > 1.
 
-    One matrix goes through Householder QR; a batch goes through CGS2 on its
-    column-major transpose, which is faster there.
+    U[j, :, p] is column j of path p's matrix, the layout `spectral._cgs2`
+    consumes.  One matrix goes through Householder QR; a batch goes through
+    CGS2, which is faster there.  Column signs are left to the caller.
     """
-    if len(U) == 1:
-        return np.linalg.qr(U[0])[0][None]
-    cols = np.ascontiguousarray(U.transpose(2, 1, 0))
-    _cgs2(cols)
-    return np.ascontiguousarray(cols.transpose(2, 1, 0))
+    if U.shape[2] == 1:
+        return np.ascontiguousarray(np.linalg.qr(U[:, :, 0].T)[0].T)[:, :, None]
+    _cgs2(U)
+    return U
 
 
 def _see_step(lam, U, h, S):
-    """One Euler-Maruyama step of the SEE for a batch of paths.
+    """One Euler-Maruyama step of the SEE for a batch of paths, path axis last.
 
-    lam is (b, N), U is (b, N, N) and S is a (b, N, N) stack of symmetric
-    noise matrices with unit off-diagonal variance and variance 2 on the
-    diagonal.  A gap under GAP_FLOOR aborts with "eigenvalue collision".
-    Each new column is flipped to have a nonnegative overlap with the old one.
+    lam is (N, b) and S is an (N, N, b) stack of symmetric noise matrices with
+    unit off-diagonal variance and variance 2 on the diagonal.  U holds the
+    frames column-major: U[j, i, p] is entry (i, j) of path p's frame, so
+    column j is U[j].  Every elementwise op and reduction runs over the
+    contiguous path axis.  A gap under GAP_FLOOR aborts with "eigenvalue
+    collision".  Each new column is flipped to have a nonnegative overlap with
+    the old one.
     """
-    N = lam.shape[1]
+    N = lam.shape[0]
     idx = np.arange(N)
-    gaps = lam[:, :, None] - lam[:, None, :]
-    gaps[:, idx, idx] = np.inf
+    gaps = lam[:, None, :] - lam[None, :, :]
+    gaps[idx, idx] = np.inf
     gap = float(np.abs(gaps).min())
     if gap < GAP_FLOOR:
         raise RuntimeError(f"eigenvalue collision: min gap {gap:.3g} below {GAP_FLOOR:g}")
     inv = 1.0 / gaps
-    lam_new = lam + math.sqrt(h / N) * np.einsum("bii->bi", S) + (h / N) * inv.sum(axis=2)
-    W = math.sqrt(h / N) * S / gaps.transpose(0, 2, 1)
-    W[:, idx, idx] = 0.0
-    decay = 0.5 * (h / N) * (inv**2).sum(axis=1)
-    Q = _orthonormalize(U + U @ W - U * decay[:, None, :])
-    flips = np.sign(np.einsum("bij,bij->bj", U, Q))
+    # Both sums below run over the leading axis, which numpy adds in index
+    # order for every batch size; an inner axis would be summed pairwise when
+    # b = 1 and in sequence otherwise.  inv is antisymmetric, so the Coulomb
+    # drift sum_j inv[i, j] is exactly -sum_j inv[j, i].
+    lam_new = lam + math.sqrt(h / N) * np.einsum("iib->ib", S) - (h / N) * inv.sum(axis=0)
+    W = math.sqrt(h / N) * S
+    W /= gaps.transpose(1, 0, 2)
+    W[idx, idx] = 0.0
+    inv *= inv
+    decay = 0.5 * (h / N) * inv.sum(axis=0)
+    # U @ W per path: one BLAS product for a single path, and for a batch an
+    # elementwise contraction over k along the path axis, which calls no BLAS.
+    if U.shape[2] == 1:
+        UW = (W[:, :, 0].T @ U[:, :, 0])[:, :, None]
+    else:
+        UW = np.einsum("kjb,kib->jib", W, U)
+    UW += U  # U + U W - U decay, in place; W is not read again
+    UW -= np.multiply(U, decay[:, None, :], out=W)
+    Q = _orthonormalize(UW)
+    flips = np.sign(np.einsum("jib,jib->jb", U, Q))
     flips[flips == 0] = 1.0
     Q *= flips[:, None, :]
     return lam_new, Q
 
 
-def _symmetric_noise(rng, b, N):
-    G = rng.standard_normal((b, N, N))
-    return (G + G.transpose(0, 2, 1)) / math.sqrt(2.0)
+def _symmetric_noise(rng, b, N, G=None, out=None):
+    """Path-last noise out[i, j, p] = (G[p, i, j] + G[p, j, i]) / sqrt(2).
+
+    G = rng.standard_normal((b, N, N)) is drawn in one call, as for a leading
+    path axis, so every path sees the same values whatever the layout.  G and
+    out may be passed as reused (b, N, N) and (N, N, b) buffers.
+    """
+    G = rng.standard_normal((b, N, N), out=G)
+    if out is None:
+        out = np.empty((N, N, b))
+    np.add(G.transpose(1, 2, 0), G.transpose(2, 1, 0), out=out)
+    return np.divide(out, math.sqrt(2.0), out=out)
 
 
 def integrate_see(dec0, t, dt, seed):
     """Euler-Maruyama path of the spectral flow started at a decomposition.
 
-    Runs the shared SEE step on a batch of one path (Householder QR).  Steps
-    shrink adaptively while the minimal eigenvalue gap is below 10 * dt * N,
-    and a step whose eigenvalues cross is halved and retried; a gap under
-    GAP_FLOOR aborts with "eigenvalue collision".
+    Runs the shared SEE step on a batch of one path (Householder QR), drawing
+    each step's noise on demand.  Steps shrink adaptively while the minimal
+    eigenvalue gap is below 10 * dt * N, and a step whose eigenvalues cross is
+    halved and retried; a gap under GAP_FLOOR aborts with "eigenvalue
+    collision".
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t < 0:
         raise ValueError("t must be >= 0")
-    lam, U = dec0.eigenvalues[None, :], dec0.frame[None]
-    N = lam.shape[1]
-    gap = float(np.min(np.diff(lam)))
+    lam, U = dec0.eigenvalues[:, None], dec0.frame.T[:, :, None]
+    N = lam.shape[0]
+    gap = float(np.min(np.diff(lam, axis=0)))
     if gap <= GAP_STEP_FACTOR * dt * N:
         log.warning("initial spectrum gap %.3g below 10*dt*N = %.3g", gap, GAP_STEP_FACTOR * dt * N)
-    times, lams, frames = [0.0], [lam[0]], [U[0]]
+    times, lams, frames = [0.0], [lam[:, 0]], [U[:, :, 0].T]
     rng = stream(seed)
     s = 0.0
     while s < t - 1e-15:
         h = min(dt, t - s)
-        gap = float(np.min(np.diff(lam)))
+        gap = float(np.min(np.diff(lam, axis=0)))
         while gap <= GAP_STEP_FACTOR * h * N and h > 1e-15:
             h *= 0.5
         while True:
             lam_new, U_new = _see_step(lam, U, h, _symmetric_noise(rng, 1, N))
-            if np.all(np.diff(lam_new) > 0):
+            if np.all(np.diff(lam_new, axis=0) > 0):
                 break
             h *= 0.5  # crossing within the step; retry smaller
             if h < 1e-15:
@@ -137,8 +168,8 @@ def integrate_see(dec0, t, dt, seed):
         lam, U = lam_new, U_new
         s += h
         times.append(s)
-        lams.append(lam[0])
-        frames.append(U[0])
+        lams.append(lam[:, 0])
+        frames.append(U[:, :, 0].T)
     return EigenPath(np.array(times), np.array(lams), np.array(frames))
 
 
@@ -147,30 +178,41 @@ def see_endpoint_ensemble(lam0, frame0, t, dt, n_paths, seed):
 
     Runs the shared SEE step over all paths at a fixed step (CGS2 for more
     than one path); meant for Monte Carlo checks on well-separated spectra.
-    A path whose eigenvalues cross is put back in ascending order, and the
-    number of such paths is logged as a warning.  Collisions below GAP_FLOOR
-    abort.
+    While step k runs, one worker thread scoped to this call draws step k+1's
+    noise into the other of two buffers; only that thread touches the
+    generator, and it draws in step order.  A path whose eigenvalues cross is
+    put back in ascending order, and the number of such paths is logged as a
+    warning.  Collisions below GAP_FLOOR abort.  Returns (n_paths, N)
+    eigenvalues and (n_paths, N, N) frames.
     """
     lam0 = np.asarray(lam0, dtype=float)
     N = lam0.shape[0]
     steps = max(1, int(round(t / dt)))
     h = t / steps
-    lam = np.tile(lam0, (n_paths, 1))
-    U = np.tile(np.asarray(frame0, dtype=float), (n_paths, 1, 1))
+    lam = np.repeat(lam0[:, None], n_paths, axis=1)
+    U = np.repeat(np.asarray(frame0, dtype=float).T[:, :, None], n_paths, axis=2)
     rng = stream(seed)
+    G = np.empty((n_paths, N, N))
+    noise = [np.empty((N, N, n_paths)) for _ in range(2)]
     crossed = np.zeros(n_paths, dtype=bool)
-    for _ in range(steps):
-        lam, U = _see_step(lam, U, h, _symmetric_noise(rng, n_paths, N))
-        moved = np.any(np.diff(lam, axis=1) < 0, axis=1)
-        if moved.any():
-            crossed |= moved
-            order = np.argsort(lam, axis=1)
-            lam = np.take_along_axis(lam, order, axis=1)
-            U = np.take_along_axis(U, order[:, None, :], axis=2)
+    with ThreadPoolExecutor(max_workers=1) as prefetch:
+        pending = prefetch.submit(_symmetric_noise, rng, n_paths, N, G, noise[0])
+        for k in range(steps):
+            S = pending.result()
+            if k + 1 < steps:
+                pending = prefetch.submit(_symmetric_noise, rng, n_paths, N, G,
+                                          noise[(k + 1) % 2])
+            lam, U = _see_step(lam, U, h, S)
+            moved = np.any(np.diff(lam, axis=0) < 0, axis=0)
+            if moved.any():
+                crossed |= moved
+                order = np.argsort(lam, axis=0)
+                lam = np.take_along_axis(lam, order, axis=0)
+                U = np.take_along_axis(U, order[:, None, :], axis=0)
     if crossed.any():
         log.warning("see_endpoint_ensemble: reordered %d of %d paths after eigenvalue crossings",
                     int(crossed.sum()), n_paths)
-    return lam, U
+    return np.ascontiguousarray(lam.T), np.ascontiguousarray(U.transpose(2, 1, 0))
 
 
 @dataclass

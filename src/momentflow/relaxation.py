@@ -236,16 +236,6 @@ def dirichlet_form(space, generator, f):
     return -float(np.sum(space.pi * f * (generator.mat @ f)))
 
 
-def dirichlet_form_pairs(space, generator, f):
-    """Same energy through the difference representation
-    (1/2) sum_{x != y} pi(x) pi(y) B_xy (f(x) - f(y))^2."""
-    A = generator.dense()
-    f = np.asarray(f, dtype=float)
-    diff = f[:, None] - f[None, :]
-    off = A - np.diag(np.diag(A))
-    return 0.5 * float(np.sum(space.pi[:, None] * off * diff**2))
-
-
 def _local_dirichlet_matrix(space, schedule, y, ell, s):
     classes = site_classes(space.N, tuple(y), ell)
     C = schedule.coefficients(s).copy()

@@ -82,6 +82,32 @@ def test_generalized_wigner_flat_profile():
     assert np.allclose((H**2).sum(axis=0), 1.0)
 
 
+def test_generalized_wigner_flat_matches_profile_formula():
+    # The flat sampler scales by the scalar sqrt(1/N); the oracle gathers the
+    # square root of an explicit flat profile, as for a custom one.
+    N = 200
+    iu = np.triu_indices(N, 1)
+    sigma = np.sqrt(ens.flat_profile(N))
+    for law in ("bernoulli", "gaussian"):
+        for seed in (0, 1, 2):
+            rng = stream(seed)
+            if law == "bernoulli":
+                upper = (2.0 * rng.integers(0, 2, size=iu[0].size) - 1.0) * sigma[iu]
+                diag = (2.0 * rng.integers(0, 2, size=N) - 1.0) * np.diag(sigma)
+            else:
+                upper = rng.standard_normal(iu[0].size) * sigma[iu]
+                diag = rng.standard_normal(N) * np.diag(sigma)
+            H = np.diag(diag)
+            H[iu] = upper
+            H.T[iu] = upper
+            spec = ens.EnsembleSpec(kind="generalized-wigner", N=N, seed=seed, entry_law=law)
+            assert np.array_equal(ens.sample_generalized_wigner(spec), H)
+    # A declared bound below 1 excludes the flat profile, as before.
+    spec = ens.EnsembleSpec(kind="generalized-wigner", N=4, profile_bound=0.5)
+    with pytest.raises(ValueError, match="non-degeneracy"):
+        ens.sample_generalized_wigner(spec)
+
+
 def test_generalized_wigner_two_by_two():
     spec = ens.EnsembleSpec(kind="generalized-wigner", N=2, seed=1)
     H = ens.sample_generalized_wigner(spec)

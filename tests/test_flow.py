@@ -1,6 +1,7 @@
 """Spectral SDE paths, frame alignment, and moment estimation."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -41,15 +42,57 @@ def test_integrate_see_collision_floor():
 
 
 def test_see_step_single_path_matches_batch():
-    # Batch 1 runs Householder QR, batch 2 runs CGS2; both share every other line.
-    N, h = 9, 1e-3
-    lam = np.sort(stream(31).standard_normal((2, N)), axis=1)
-    U = np.stack([spx.eig_sym(ens.sample_goe(N, s)).frame for s in (32, 33)])
-    S = flow._symmetric_noise(stream(34), 2, N)
-    lam2, U2 = flow._see_step(lam, U, h, S)
-    lam1, U1 = flow._see_step(lam[1:], U[1:], h, S[1:])
-    assert np.array_equal(lam1, lam2[1:])
-    assert np.max(np.abs(U1 - U2[1:])) <= 1e-14
+    # Batch 1 runs a BLAS product and Householder QR, batch 2 the path-axis
+    # contraction and CGS2; both share every other line, and the eigenvalue
+    # sums run in one order for every batch size.  N = 27 is the DBM path's.
+    h = 1e-3
+    for N in (5, 9, 27):
+        lam = np.sort(stream(31).standard_normal((2, N)), axis=1).T.copy()
+        U = np.stack([spx.eig_sym(ens.sample_goe(N, s)).frame.T for s in (32, 33)], axis=2)
+        S = flow._symmetric_noise(stream(34), 2, N)
+        lam2, U2 = flow._see_step(lam, U, h, S)
+        lam1, U1 = flow._see_step(lam[:, 1:], U[:, :, 1:], h, S[:, :, 1:])
+        assert np.array_equal(lam1, lam2[:, 1:])
+        assert np.max(np.abs(U1 - U2[:, :, 1:])) <= 1e-14
+
+
+def test_symmetric_noise_path_last_matches_leading_formula():
+    b, N = 7, 5
+    G = stream(35).standard_normal((b, N, N))
+    leading = (G + G.transpose(0, 2, 1)) / math.sqrt(2.0)
+    S = flow._symmetric_noise(stream(35), b, N)
+    assert S.shape == (N, N, b) and S.flags.c_contiguous
+    assert np.array_equal(S, leading.transpose(1, 2, 0))
+    G_buf, S_buf = np.empty((b, N, N)), np.empty((N, N, b))
+    assert flow._symmetric_noise(stream(35), b, N, G_buf, S_buf) is S_buf
+    assert np.array_equal(S_buf, S)
+
+
+def test_endpoint_ensemble_matches_serial_steps():
+    # The prefetching ensemble against a serial loop of the same draws and steps.
+    N, paths, steps, h, seed = 5, 64, 10, 1e-4, 36
+    lam0 = np.linspace(-1.0, 1.0, N)
+    frame0 = spx.eig_sym(ens.sample_goe(N, 37)).frame
+    threads = threading.active_count()
+    lamT, UT = flow.see_endpoint_ensemble(lam0, frame0, steps * h, h, paths, seed)
+    assert threading.active_count() == threads
+    rng = stream(seed)
+    lam = np.repeat(lam0[:, None], paths, axis=1)
+    U = np.repeat(frame0.T[:, :, None], paths, axis=2)
+    for _ in range(steps):
+        lam, U = flow._see_step(lam, U, h, flow._symmetric_noise(rng, paths, N))
+        assert np.all(np.diff(lam, axis=0) > 0)
+    assert np.array_equal(lamT, lam.T)
+    assert np.array_equal(UT, U.transpose(2, 1, 0))
+
+
+def test_endpoint_ensemble_collision_leaves_no_thread():
+    # The collision raises inside the prefetch loop, with step 1's draw pending.
+    lam = np.array([0.0, 5e-9, 1.0])
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="eigenvalue collision"):
+        flow.see_endpoint_ensemble(lam, np.eye(3), 0.01, 1e-4, 64, seed=3)
+    assert threading.active_count() == threads
 
 
 def test_endpoint_law_matches_direct_perturbation():
