@@ -22,6 +22,13 @@ def stream(seed, *ids):
     """Return a Generator keyed by (seed, *ids); identical inputs, identical stream.
 
     seed and ids may be integers or nested tuples of integers.
+
+    Distinct keys can alias.  `SeedSequence` splits each integer into 32-bit
+    words and zero-pads entropy shorter than 4 words, so trailing zero ids
+    within the first 4 words change nothing: stream(731, 9) is
+    stream((731, 9, 0)), and stream(9, 0, 0) is stream(9).  A word at or
+    above 2**32 reads as two: stream(2**32) is stream(0, 1).  A key that must
+    differ from every shorter one ends with a nonzero id.
     """
     entropy = []
     _flatten(seed, entropy)

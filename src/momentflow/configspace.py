@@ -1,6 +1,6 @@
 """Even particle configurations, the reversible measure, move/exchange
 operators, kernel projections, conditional expectations, local projections,
-averaging values, configuration distance, and the colorblind map.
+configuration distance, and the colorblind map.
 
 Sites are 0-based: a configuration is a point x in {0..N-1}^n, and membership
 in the even space requires every site occupancy to be even.  A space stores
@@ -656,22 +656,6 @@ def local_projection(space, y, ell):
         weights = space.pi[cols]
         M[np.ix_(loc[kind == r], cols)] = weights / weights.sum()
     return WeightedOperator(space, M, is_pi_self_adjoint=False)
-
-
-def averaging_indicator(x, y, K):
-    """Mollified indicator (1/K) sum_{alpha=K}^{2K-1} 1{|x-y|_1 < alpha} for one pair."""
-    if K < 1:
-        raise ValueError("averaging scale K must be >= 1")
-    d = sum(abs(int(a) - int(b)) for a, b in zip(x, y))
-    return float(np.clip((2 * K - 1 - d) / K, 0.0, 1.0))
-
-
-def averaging_values(space, K, y):
-    """Av(x; K, y) over the whole space."""
-    if K < 1:
-        raise ValueError("averaging scale K must be >= 1")
-    d = np.abs(space.configs - np.asarray(y)).sum(axis=1)
-    return np.clip((2 * K - 1 - d) / K, 0.0, 1.0)
 
 
 def config_distance(x, y, window):

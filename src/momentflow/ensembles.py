@@ -87,6 +87,9 @@ class EnsembleSpec:
                 raise ValueError("levy requires alpha in (0, 2)")
         if self.entry_law not in ENTRY_LAWS:
             raise ValueError(f"unknown entry law {self.entry_law!r}")
+        if self.kind == "generalized-wigner" and self.profile_bound < 1.0:
+            raise ValueError(f"profile_bound {self.profile_bound:g} < 1 leaves the "
+                             "non-degeneracy range [1/C, C] empty")
         if self.kind == "generalized-wigner" and self.variance_profile is not None:
             _check_profile(np.asarray(self.variance_profile, dtype=float),
                            self.N, self.profile_bound)
@@ -169,10 +172,8 @@ def sample_generalized_wigner(spec):
         raise ValueError("spec.kind must be 'generalized-wigner'")
     N = spec.N
     if spec.variance_profile is None:
-        # The flat profile (N sigma^2 = 1) passes every check when the declared
+        # The flat profile (N sigma^2 = 1) passes every check, since the spec's
         # bound is at least 1, and math.sqrt(1/N) is np.sqrt of each entry.
-        if spec.profile_bound < 1.0:
-            _check_profile(flat_profile(N), N, spec.profile_bound)
         sigma_up = sigma_diag = math.sqrt(1.0 / N)
     else:
         profile = np.asarray(spec.variance_profile, dtype=float)

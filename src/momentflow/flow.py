@@ -1,19 +1,15 @@
 """Coupled eigenvalue/eigenvector stochastic dynamics and Monte Carlo moment
 estimation.
 
-The SEE (stochastic eigenstate equation, coupled to Dyson Brownian motion) is
-advanced by one batched Euler-Maruyama step, `_see_step`, with the path axis
-last: eigenvalues are (N, b) and frames (N, N, b), stored column-major in the
-layout `spectral._cgs2` consumes, so every elementwise op and reduction runs
-over contiguous paths and no step transposes.  Householder QR orthonormalizes
-a single path and CGS2 a batch.  The single path (`integrate_see`) draws its
-noise on demand, and halves and retries a step whose eigenvalues cross.  The
-fixed-step ensemble (`see_endpoint_ensemble`) draws the next step's noise on
-one worker thread while the current step runs, reorders crossed paths and
-logs their count.  The paths exist to validate the configuration-space
-generator; the Monte Carlo trials use one-shot direct perturbation plus a
-fresh eigensolve of only the needed eigenpairs per trial, which is exact in
-distribution and free of discretization bias.
+The SEE (stochastic eigenstate equation, coupled to Dyson Brownian motion) has
+one Euler-Maruyama step, `_see_step`, with the path axis last: eigenvalues are
+(N, b) and frames (N, N, b), column-major as `spectral._cgs2` consumes them.
+One driver, `_see_paths`, marches a batch (`see_endpoint_ensemble`) or one
+recorded path (`integrate_see`); a path that steps from a gap <= 10 h N, or
+crosses, is redone alone on the Brownian-bridge split of the same increment,
+which keeps the path law.  The paths validate the configuration-space
+generator; Monte Carlo trials use one-shot direct perturbation and a fresh
+eigensolve of only the needed eigenpairs, exact in distribution.
 """
 
 import logging
@@ -132,86 +128,90 @@ def _symmetric_noise(rng, b, N, G=None, out=None):
     return np.divide(out, math.sqrt(2.0), out=out)
 
 
-def integrate_see(dec0, t, dt, seed):
-    """Euler-Maruyama path of the spectral flow started at a decomposition.
+def _rejected(lam, lam_new, h):
+    """Paths of a step that started from a gap <= 10 h N or ended unordered."""
+    return ((np.diff(lam, axis=0).min(axis=0) <= GAP_STEP_FACTOR * h * lam.shape[0])
+            | (np.diff(lam_new, axis=0).min(axis=0) <= 0.0))
 
-    Runs the shared SEE step on a batch of one path (Householder QR), drawing
-    each step's noise on demand.  Steps shrink adaptively while the minimal
-    eigenvalue gap is below 10 * dt * N, and a step whose eigenvalues cross is
-    halved and retried; a gap under GAP_FLOOR aborts with "eigenvalue
-    collision".
+
+def _refine(lam, U, h, S, rng, trail):
+    """Advance one path over h by half steps on the Brownian-bridge split of S.
+
+    With Z drawn from rng like S, (S + Z)/sqrt(2) and (S - Z)/sqrt(2) sum to
+    sqrt(2) S, and the first is the increment's midpoint given that sum.  A
+    half that `_rejected` flags is split again, down to a step of 1e-15.
     """
+    if h < 1e-15:
+        raise RuntimeError("eigenvalue collision: step refined below 1e-15")
+    Z = _symmetric_noise(rng, 1, lam.shape[0])
+    for half in ((S + Z) / math.sqrt(2.0), (S - Z) / math.sqrt(2.0)):
+        lam_new, U_new = _see_step(lam, U, h / 2, half)
+        if _rejected(lam, lam_new, h / 2)[0]:
+            lam_new, U_new = _refine(lam, U, h / 2, half, rng, trail)
+        elif trail is not None:
+            trail.append((h / 2, lam_new, U_new))
+        lam, U = lam_new, U_new
+    return lam, U
+
+
+def _see_paths(lam, U, hs, seed, trail=None):
+    """Endpoint of paths (lam (N, b), frames U (N, N, b)) marched over the steps hs.
+
+    Step k moves the batch on one noise block from stream(seed); each path
+    `_rejected` flags is redone alone by `_refine` on its slice of that block.
+    A batch draws step k+1's noise on one worker thread scoped to the call
+    while step k runs; one path draws inline.  `trail` receives (h, lam, U)
+    for every accepted step of one path.
+    """
+    N, b = lam.shape
+    rng = stream(seed)
+    G, noise = np.empty((b, N, N)), np.empty((2, N, N, b))
+    refined, ahead = 0, None
+    with ThreadPoolExecutor(max_workers=1) as prefetch:
+        for k, h in enumerate(hs):
+            S = ahead.result() if ahead else _symmetric_noise(rng, b, N, G, noise[k % 2])
+            if b > 1 and k + 1 < len(hs):
+                ahead = prefetch.submit(_symmetric_noise, rng, b, N, G, noise[(k + 1) % 2])
+            lam_new, U_new = _see_step(lam, U, h, S)
+            redo = np.flatnonzero(_rejected(lam, lam_new, h))
+            for p in redo:  # bridge key ends in 1: stream(seed, 0, 0) is stream(seed)
+                lam_new[:, p:p + 1], U_new[:, :, p:p + 1] = _refine(
+                    lam[:, p:p + 1], U[:, :, p:p + 1], h, S[:, :, p:p + 1],
+                    stream(seed, k, p, 1), trail)
+            if trail is not None and not redo.size:
+                trail.append((h, lam_new, U_new))
+            refined += redo.size
+            lam, U = lam_new, U_new
+    if refined:
+        log.warning("SEE: refined %d of %d path-steps by Brownian bridge", refined, b * len(hs))
+    return lam, U
+
+
+def integrate_see(dec0, t, dt, seed):
+    """Euler-Maruyama path of the spectral flow from a decomposition, by `_see_paths`
+    on one path over steps of dt (the last one ending at t).  Every accepted step
+    is recorded, bridge sub-steps included."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t < 0:
         raise ValueError("t must be >= 0")
-    lam, U = dec0.eigenvalues[:, None], dec0.frame.T[:, :, None]
-    N = lam.shape[0]
-    gap = float(np.min(np.diff(lam, axis=0)))
-    if gap <= GAP_STEP_FACTOR * dt * N:
-        log.warning("initial spectrum gap %.3g below 10*dt*N = %.3g", gap, GAP_STEP_FACTOR * dt * N)
-    times, lams, frames = [0.0], [lam[:, 0]], [U[:, :, 0].T]
-    rng = stream(seed)
-    s = 0.0
+    hs, s = [], 0.0
     while s < t - 1e-15:
-        h = min(dt, t - s)
-        gap = float(np.min(np.diff(lam, axis=0)))
-        while gap <= GAP_STEP_FACTOR * h * N and h > 1e-15:
-            h *= 0.5
-        while True:
-            lam_new, U_new = _see_step(lam, U, h, _symmetric_noise(rng, 1, N))
-            if np.all(np.diff(lam_new, axis=0) > 0):
-                break
-            h *= 0.5  # crossing within the step; retry smaller
-            if h < 1e-15:
-                raise RuntimeError(f"eigenvalue collision at s = {s:.6g}")
-        lam, U = lam_new, U_new
-        s += h
-        times.append(s)
-        lams.append(lam[:, 0])
-        frames.append(U[:, :, 0].T)
-    return EigenPath(np.array(times), np.array(lams), np.array(frames))
+        hs.append(min(dt, t - s))
+        s += hs[-1]
+    trail = [(0.0, dec0.eigenvalues[:, None], dec0.frame.T[:, :, None])]
+    _see_paths(*trail[0][1:], hs, seed, trail)
+    h, lam, U = map(np.array, zip(*trail))
+    return EigenPath(np.cumsum(h), lam[:, :, 0].copy(), U[:, :, :, 0].transpose(0, 2, 1).copy())
 
 
 def see_endpoint_ensemble(lam0, frame0, t, dt, n_paths, seed):
-    """Endpoint (eigenvalues, frames) of n_paths independent spectral-flow runs.
-
-    Runs the shared SEE step over all paths at a fixed step (CGS2 for more
-    than one path); meant for Monte Carlo checks on well-separated spectra.
-    While step k runs, one worker thread scoped to this call draws step k+1's
-    noise into the other of two buffers; only that thread touches the
-    generator, and it draws in step order.  A path whose eigenvalues cross is
-    put back in ascending order, and the number of such paths is logged as a
-    warning.  Collisions below GAP_FLOOR abort.  Returns (n_paths, N)
-    eigenvalues and (n_paths, N, N) frames.
-    """
-    lam0 = np.asarray(lam0, dtype=float)
-    N = lam0.shape[0]
+    """Endpoint (eigenvalues (n_paths, N), frames (n_paths, N, N)) of n_paths
+    independent spectral-flow runs, by `_see_paths` over round(t/dt) equal steps."""
     steps = max(1, int(round(t / dt)))
-    h = t / steps
-    lam = np.repeat(lam0[:, None], n_paths, axis=1)
-    U = np.repeat(np.asarray(frame0, dtype=float).T[:, :, None], n_paths, axis=2)
-    rng = stream(seed)
-    G = np.empty((n_paths, N, N))
-    noise = [np.empty((N, N, n_paths)) for _ in range(2)]
-    crossed = np.zeros(n_paths, dtype=bool)
-    with ThreadPoolExecutor(max_workers=1) as prefetch:
-        pending = prefetch.submit(_symmetric_noise, rng, n_paths, N, G, noise[0])
-        for k in range(steps):
-            S = pending.result()
-            if k + 1 < steps:
-                pending = prefetch.submit(_symmetric_noise, rng, n_paths, N, G,
-                                          noise[(k + 1) % 2])
-            lam, U = _see_step(lam, U, h, S)
-            moved = np.any(np.diff(lam, axis=0) < 0, axis=0)
-            if moved.any():
-                crossed |= moved
-                order = np.argsort(lam, axis=0)
-                lam = np.take_along_axis(lam, order, axis=0)
-                U = np.take_along_axis(U, order[:, None, :], axis=0)
-    if crossed.any():
-        log.warning("see_endpoint_ensemble: reordered %d of %d paths after eigenvalue crossings",
-                    int(crossed.sum()), n_paths)
+    lam, U = _see_paths(np.repeat(np.asarray(lam0, dtype=float)[:, None], n_paths, axis=1),
+                        np.repeat(np.asarray(frame0, dtype=float).T[:, :, None], n_paths, axis=2),
+                        [t / steps] * steps, seed)
     return np.ascontiguousarray(lam.T), np.ascontiguousarray(U.transpose(2, 1, 0))
 
 

@@ -432,20 +432,6 @@ def test_local_neighborhood_radius_convention():
     assert np.array_equal(sp.configs[loc], [(4, 4)])
 
 
-def test_averaging_coefficients():
-    sp = cs.enumerate_space(6, 4)
-    y = (2, 2, 3, 3)
-    vals = cs.averaging_values(sp, 4, y)
-    assert np.all((0.0 <= vals) & (vals <= 1.0))
-    assert vals[sp.idx(y)] == 1.0
-    assert cs.averaging_indicator((0, 0, 0, 5), (0, 0, 0, 0), 4) == 0.5
-    assert cs.averaging_indicator((0, 0), (1, 1), 4) == 1.0
-    assert cs.averaging_indicator((0, 8), (0, 0), 4) == 0.0
-    far = [ix for ix, x in enumerate(sp.configs)
-           if sum(abs(a - b) for a, b in zip(x, y)) >= 8]
-    assert np.all(vals[far] == 0.0)
-
-
 def test_config_distance():
     w = np.arange(1, 11)
     assert cs.config_distance((3, 3), (7, 7), w) == 4

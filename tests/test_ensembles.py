@@ -102,10 +102,9 @@ def test_generalized_wigner_flat_matches_profile_formula():
             H.T[iu] = upper
             spec = ens.EnsembleSpec(kind="generalized-wigner", N=N, seed=seed, entry_law=law)
             assert np.array_equal(ens.sample_generalized_wigner(spec), H)
-    # A declared bound below 1 excludes the flat profile, as before.
-    spec = ens.EnsembleSpec(kind="generalized-wigner", N=4, profile_bound=0.5)
-    with pytest.raises(ValueError, match="non-degeneracy"):
-        ens.sample_generalized_wigner(spec)
+    # A declared bound below 1 leaves no admissible profile, so the spec is refused.
+    with pytest.raises(ValueError, match="non-degeneracy range"):
+        ens.EnsembleSpec(kind="generalized-wigner", N=4, profile_bound=0.5)
 
 
 def test_generalized_wigner_two_by_two():

@@ -1,4 +1,4 @@
-"""Spectral SDE paths, frame alignment, and moment estimation."""
+"""Spectral SDE paths, Brownian-bridge refinement, frame alignment, and moment estimation."""
 
 import math
 import threading
@@ -25,9 +25,17 @@ def test_integrate_see_zero_time():
 
 
 def test_integrate_see_invariants():
+    # The path starts under the gap rule (gap 0.0058 <= 10 h N = 0.02) and refines,
+    # so its 1000 nominal steps become more; no accepted step starts from a gap
+    # <= 10 h N or ends unordered, and no thread is started.
     dec = spx.eig_sym(ens.sample_goe(20, 7))
+    threads = threading.active_count()
     path = flow.integrate_see(dec, 0.1, 1e-4, seed=2)
+    assert threading.active_count() == threads
     path.validate()
+    gaps = np.diff(path.eigenvalues, axis=1).min(axis=1)
+    assert len(path.times) - 1 > 1000
+    assert np.all(gaps[:-1] > 10 * np.diff(path.times) * 20) and np.all(gaps[1:] > 0)
     for U in path.frames[:: max(1, len(path.times) // 20)]:
         assert np.max(np.abs(U.T @ U - np.eye(20))) <= 1e-8
 
@@ -95,6 +103,107 @@ def test_endpoint_ensemble_collision_leaves_no_thread():
     assert threading.active_count() == threads
 
 
+def test_refine_bridge_split(monkeypatch):
+    # The halves of a split sum to sqrt(2) S.  Over 1000 splits each half has
+    # S's law (variance 1 off the diagonal, 2 on it), the halves are
+    # uncorrelated, and a half given S varies by 1/2 off the diagonal: in
+    # Brownian terms the midpoint given the increment varies by a quarter of
+    # the increment's variance.  Bands are 5 standard errors.
+    N, m = 6, 1000
+    halves = []
+    monkeypatch.setattr(flow, "_see_step", lambda lam, U, h, S: halves.append(S) or (lam, U))
+    S = flow._symmetric_noise(stream(40), m, N)
+    for p in range(m):
+        flow._refine(np.arange(N, dtype=float)[:, None], np.eye(N)[:, :, None], 1e-3,
+                     S[:, :, p:p + 1], stream(41, p), None)
+    S1, S2 = np.concatenate(halves[0::2], axis=2), np.concatenate(halves[1::2], axis=2)
+    full = math.sqrt(2.0) * S
+    assert np.max(np.abs(S1 + S2 - full)) <= 1e-15 * np.max(np.abs(full))
+    iu, dg = np.triu_indices(N, 1), np.diag_indices(N)
+    off1, off2 = S1[iu].ravel(), S2[iu].ravel()
+    assert abs(off1.var() - 1.0) <= 0.06 and abs(off2.var() - 1.0) <= 0.06
+    assert abs(S1[dg].var() - 2.0) <= 0.18 and abs(S2[dg].var() - 2.0) <= 0.18
+    assert abs(np.corrcoef(off1, off2)[0, 1]) <= 0.04
+    assert abs((off1 - S[iu].ravel() / math.sqrt(2.0)).var() - 0.5) <= 0.03
+
+
+def test_refinement_redoes_only_its_path(monkeypatch, caplog):
+    # Path 3 is forced to refine at step 2.  Every other path equals a serial
+    # loop of plain steps, and path 3 equals `_refine` run by hand on its slice
+    # of that step's noise, with the bridge key (seed, step, path, 1).
+    N, paths, steps, seed = 5, 16, 5, 36
+    t = steps * 1e-4
+    h = t / steps
+    lam0 = np.linspace(-1.0, 1.0, N)
+    frame0 = spx.eig_sym(ens.sample_goe(N, 37)).frame
+    rejected, batch_steps = flow._rejected, []
+
+    def forced(lam, lam_new, h):
+        bad = rejected(lam, lam_new, h)
+        if lam.shape[1] > 1:
+            batch_steps.append(h)
+            bad[3] |= len(batch_steps) == 3
+        return bad
+
+    monkeypatch.setattr(flow, "_rejected", forced)
+    with caplog.at_level("WARNING", logger="momentflow.flow"):
+        lamT, UT = flow.see_endpoint_ensemble(lam0, frame0, t, h, paths, seed)
+    assert "refined 1 of 80 path-steps" in caplog.text
+    monkeypatch.undo()
+    rng = stream(seed)
+    lam = np.repeat(lam0[:, None], paths, axis=1)
+    U = np.repeat(frame0.T[:, :, None], paths, axis=2)
+    for k in range(steps):
+        S = flow._symmetric_noise(rng, paths, N)
+        lam_new, U_new = flow._see_step(lam, U, h, S)
+        if k == 2:
+            plain = lam_new[:, 3].copy()
+            lam_new[:, 3:4], U_new[:, :, 3:4] = flow._refine(
+                lam[:, 3:4], U[:, :, 3:4], h, S[:, :, 3:4], stream(seed, 2, 3, 1), None)
+            assert not np.array_equal(lam_new[:, 3], plain)
+        lam, U = lam_new, U_new
+    assert np.array_equal(lamT, lam.T)
+    assert np.array_equal(UT, U.transpose(2, 1, 0))
+
+
+def test_stream_aliases_and_bridge_key(monkeypatch):
+    # SeedSequence zero-pads entropy shorter than 4 words and splits integers
+    # into 32-bit words, so these keys alias (see `stream`).  The first is live:
+    # joint-normality's test vectors and trial 9's matrix share a stream.
+    def raw(g):
+        return g.bit_generator.random_raw(4).tolist()
+
+    assert raw(stream(731, 9)) == raw(stream((731, 9, 0)))
+    assert raw(stream(2**32)) == raw(stream(0, 1))
+    assert raw(stream(9, 0, 0)) == raw(stream(9))
+    # The bridge stream of path 0 at step 0 (gap 0.01 <= 10 h N = 0.03 at the
+    # start) must be neither the macro noise stream nor any zero-padded key.
+    keys, refine = [], flow._refine
+
+    def spy(lam, U, h, S, rng, trail):
+        keys.append(rng.bit_generator.state["state"]["key"].tolist())
+        return refine(lam, U, h, S, rng, trail)
+
+    monkeypatch.setattr(flow, "_refine", spy)
+    dec = spx.SpectralDecomposition(np.array([0.0, 0.01, 1.0]), np.eye(3))
+    flow.integrate_see(dec, 1e-3, 1e-3, seed=9)
+    macro = stream(9).bit_generator.state["state"]["key"].tolist()
+    assert keys and keys[0] != macro
+    assert keys[0] == stream(9, 0, 0, 1).bit_generator.state["state"]["key"].tolist()
+
+
+def test_refinement_floor_raises(monkeypatch):
+    # A step the rule never accepts is split down to 1e-15, then raises; the
+    # ensemble leaves no thread behind.
+    monkeypatch.setattr(flow, "_rejected", lambda lam, lam_new, h: np.ones(lam.shape[1], bool))
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="refined below"):
+        flow.integrate_see(spx.eig_sym(ens.sample_goe(5, 3)), 1e-3, 1e-4, seed=1)
+    with pytest.raises(RuntimeError, match="refined below"):
+        flow.see_endpoint_ensemble(np.linspace(-1.0, 1.0, 5), np.eye(5), 1e-3, 1e-4, 8, seed=1)
+    assert threading.active_count() == threads
+
+
 def test_endpoint_law_matches_direct_perturbation():
     # Distributional identity: SDE endpoint eigenvalues vs eig(H + sqrt(t) GOE).
     N, t, dt, trials = 8, 0.02, 5e-4, 2000
@@ -108,13 +217,17 @@ def test_endpoint_law_matches_direct_perturbation():
     assert ks <= 0.05
 
 
-def test_endpoint_ensemble_warns_on_reorder(caplog):
-    # At the endpoint-law parameters 3 of 2000 paths cross and are reordered.
-    N = 8
+def test_endpoint_ensemble_warns_on_refinement(caplog):
+    # At the endpoint-law parameters 65 of 2000 paths refine, over 191 path-steps;
+    # at generator-validate's (N = 5, t = 1e-3, dt = 1e-5, seed (0, 3)) none does.
     with caplog.at_level("WARNING", logger="momentflow.flow"):
-        flow.see_endpoint_ensemble(np.linspace(-1.0, 1.0, N), np.eye(N), 0.02, 5e-4, 2000,
+        flow.see_endpoint_ensemble(np.linspace(-1.0, 1.0, 8), np.eye(8), 0.02, 5e-4, 2000,
                                    seed=9)
-    assert "reordered 3 of 2000 paths" in caplog.text
+        assert "refined 191 of 80000 path-steps" in caplog.text
+        caplog.clear()
+        flow.see_endpoint_ensemble(np.linspace(-1.0, 1.0, 5), np.eye(5), 1e-3, 1e-5, 2000,
+                                   seed=(0, 3))
+    assert "refined" not in caplog.text
 
 
 def test_generator_consistency_finite_difference():
