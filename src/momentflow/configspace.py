@@ -279,8 +279,9 @@ class WeightedOperator:
 
 @dataclass(frozen=True)
 class _Stencil:
-    """Every off-diagonal entry of B(C) on one space (moves first, then
-    exchanges) and the canonical CSR pattern (indptr, indices) they fill with
+    """Every off-diagonal entry of B(C) on one space, in the order each
+    diagonal sums them (moves, then exchanges, each by label pair, row and
+    target), and the canonical CSR pattern (indptr, indices) they fill with
     the diagonal.
 
     Entry k lies in row row[k], is stored at data[slot[k]], and has the value
@@ -312,40 +313,53 @@ class _Stencil:
 
 
 def _build_stencil(space):
-    """Locate every move and exchange target through its configuration code."""
-    N, n = space.N, space.n
-    X, radix, codes = space.configs, space._radix, space._codes
+    """The stencil, with move targets read off per-pair site tables and the
+    CSR pattern merged from sorted runs.
+
+    The rows tying labels a and b that agree off the pair hold the pair once
+    at each site, since moving it keeps every occupancy even.  A stable sort
+    by pair and by the code without the pair lays each such class out as a
+    table row whose column j is the member with the pair at site j.  A row
+    that misses a site or mixes keys raises AssertionError, as `_locate` does.
+    """
+    N, n, size = space.N, space.n, space.size
+    X, radix, codes, occ = space.configs, space._radix, space._codes, space.occ
+    a, b = np.triu_indices(n, 1)  # the label pairs in itertools.combinations order
+    tied = X[:, a] == X[:, b]
     sites = np.arange(N)
-    moves, swaps = [], []
-    for a, b in itertools.combinations(range(n), 2):
-        # Move: labels a and b share site i and relocate together to j != i.
-        rows = np.repeat(np.flatnonzero(X[:, a] == X[:, b]), N)
-        j = np.tile(sites, rows.size // N)
-        i = X[rows, a]
-        keep = i != j
-        rows, i, j = rows[keep], i[keep], j[keep]
-        moves.append((rows, codes[rows] + (j - i) * (radix[a] + radix[b]), i, j,
-                      2.0 * (space.occ[rows, j] + 1.0), space.occ[rows, i] - 1.0))
-        # Exchange: labels a and b on different sites trade places.
-        rows = np.flatnonzero(X[:, a] != X[:, b])
-        xa, xb = X[rows, a], X[rows, b]
-        swaps.append((rows, codes[rows] + (xb - xa) * (radix[a] - radix[b]),
-                      np.minimum(xa, xb), np.maximum(xa, xb),
-                      np.full(rows.size, 2.0), np.ones(rows.size)))
-    n_moves = sum(m[0].size for m in moves)
-    row, code, i, j, num, den = (np.concatenate(parts) for parts in zip(*moves, *swaps))
-    del moves, swaps  # copied into the arrays above; freed before the pattern is built
-    # Number the entries and the diagonal 1..m; scipy's canonical CSR of the
-    # numbers says where each one goes.
-    d = np.arange(space.size)
-    P = sp.csr_matrix((np.arange(1, row.size + d.size + 1),
-                       (np.concatenate([row, d]), np.concatenate([space._locate(code), d]))),
-                      shape=(space.size, space.size))
-    where = np.empty(P.nnz, dtype=np.intp)
-    where[P.data - 1] = np.arange(P.nnz)
-    return _Stencil(row=row, site=i * N + j, num=num, den=den, moves=n_moves,
-                    indptr=P.indptr, indices=P.indices, slot=where[:row.size],
-                    diag=where[row.size:])
+    # Move: labels a and b share site i and relocate together to j != i.
+    p, r = np.nonzero(tied.T)  # pair by pair, rows ascending
+    i = X[r, a[p]]
+    key = p * (N * radix[0]) + codes[r] - i * (radix[a] + radix[b])[p]
+    order = np.argsort(key, kind="stable")
+    if not (np.array_equal(i[order], np.tile(sites, r.size // N))
+            and np.array_equal(key[order], np.repeat(key[order][::N], N))):
+        raise AssertionError("a move target is missing from the enumeration")
+    cls = np.empty_like(order)
+    cls[order] = np.arange(r.size) // N
+    keep = sites != i[:, None]
+    move = (np.repeat(r, N - 1), r[order].reshape(-1, N)[cls][keep],
+            (i[:, None] * N + sites)[keep], (2.0 * (occ + 1.0))[r][keep],
+            np.repeat(occ[r, i] - 1.0, N - 1))
+    # Exchange: labels a and b on different sites trade places.
+    p, r = np.nonzero(~tied.T)
+    xa, xb = X[r, a[p]], X[r, b[p]]
+    swap = (r, space._locate(codes[r] + (xb - xa) * (radix[a] - radix[b])[p]),
+            np.minimum(xa, xb) * N + np.maximum(xa, xb), np.full(r.size, 2.0), np.ones(r.size))
+    row, col, site, num, den = (np.concatenate(parts) for parts in zip(move, swap))
+    del move, swap  # copied into the arrays above; freed before the pattern is built
+    # Each pair's moves and exchanges, and the diagonal, ascend in (row, col),
+    # so the stable sort merges sorted runs.  Index dtype as scipy's.
+    idx = np.int32 if row.size + size <= np.iinfo(np.int32).max else np.int64
+    cols = np.concatenate([col, np.arange(size)]).astype(idx)
+    perm = np.argsort(np.concatenate([row, np.arange(size)]) * size + cols, kind="stable")
+    where = np.empty_like(perm)
+    where[perm] = np.arange(perm.size)
+    # Row r holds its diagonal, an exchange per untied pair, N - 1 moves per tied one.
+    indptr = np.concatenate([[0], np.cumsum(1 + a.size + (N - 2) * tied.sum(axis=1))])
+    return _Stencil(row=row, site=site, num=num, den=den, moves=row.size - r.size,
+                    indptr=indptr.astype(idx), indices=cols[perm],
+                    slot=where[:row.size], diag=where[row.size:])
 
 
 def _validate_coeffs(space, coeffs):

@@ -139,18 +139,20 @@ def _refine(lam, U, h, S, rng, trail):
 
     With Z drawn from rng like S, (S + Z)/sqrt(2) and (S - Z)/sqrt(2) sum to
     sqrt(2) S, and the first is the increment's midpoint given that sum.  A
-    half that `_rejected` flags is split again, down to a step of 1e-15.
+    half that `_rejected` flags is split again, down to a step of 1e-15; a
+    half whose start gap the rule rejects is split without being stepped.
     """
     if h < 1e-15:
         raise RuntimeError("eigenvalue collision: step refined below 1e-15")
     Z = _symmetric_noise(rng, 1, lam.shape[0])
     for half in ((S + Z) / math.sqrt(2.0), (S - Z) / math.sqrt(2.0)):
-        lam_new, U_new = _see_step(lam, U, h / 2, half)
-        if _rejected(lam, lam_new, h / 2)[0]:
-            lam_new, U_new = _refine(lam, U, h / 2, half, rng, trail)
+        # A "step" to lam itself is rejected for its start gap alone.
+        step = None if _rejected(lam, lam, h / 2)[0] else _see_step(lam, U, h / 2, half)
+        if step is None or _rejected(lam, step[0], h / 2)[0]:
+            step = _refine(lam, U, h / 2, half, rng, trail)
         elif trail is not None:
-            trail.append((h / 2, lam_new, U_new))
-        lam, U = lam_new, U_new
+            trail.append((h / 2, *step))
+        lam, U = step
     return lam, U
 
 

@@ -197,8 +197,10 @@ def _stable_steps(space, schedule, s1, s2):
 
 
 def _inf_norm(op):
-    """||B||_inf, the largest absolute row sum, read off the stored entries."""
-    return float(np.max(abs(op.mat).sum(axis=1)))
+    """||B||_inf, the largest absolute row sum, read off the stored data as
+    scipy's row sum adds it; an empty row sums to 0."""
+    starts = op.mat.indptr[np.flatnonzero(np.diff(op.mat.indptr))]
+    return float(np.max(np.add.reduceat(np.abs(op.mat.data), starts), initial=0.0))
 
 
 def _stage(space, schedule, s, h):

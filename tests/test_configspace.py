@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sparse
 
 from momentflow import configspace as cs
+from momentflow import relaxation as rx
 from momentflow._rng import stream
 
 
@@ -469,10 +470,11 @@ def test_colorblind_transport():
     assert np.max(np.abs(B @ Pr - Pr @ B)) <= 1e-12
 
 
-# Every (N, n) the suite enumerates, plus Lambda^4_27 (2,133 configurations).
+# Every (N, n) the suite enumerates, plus Lambda^4_27 (2,133 configurations)
+# and the one- and two-site edges of the site tables.
 REFERENCE_SPACES = [(2, 2), (3, 2), (5, 2), (6, 2), (8, 2), (10, 2), (20, 2), (40, 2),
                     (65, 2), (81, 2), (161, 2), (4, 4), (5, 4), (6, 4), (10, 4),
-                    (3, 6), (4, 6), (27, 4)]
+                    (3, 6), (4, 6), (27, 4), (1, 2), (2, 4), (2, 6)]
 
 
 def reference_parts(space, C):
@@ -528,6 +530,59 @@ def test_generator_matches_jump_reference():
             ref_csr = sparse.csr_matrix((np.ones(len(pattern)), tuple(ij)), shape=mat.shape)
             assert np.array_equal(mat.indptr, ref_csr.indptr)
             assert np.array_equal(mat.indices, ref_csr.indices)
+            assert mat.indptr.dtype == ref_csr.indptr.dtype
+            assert mat.indices.dtype == ref_csr.indices.dtype
+
+
+def test_stencil_entry_order():
+    # Moves, then exchanges; within each, label pairs in combinations order,
+    # then rows, then targets, ascending.  Each diagonal sums its row's entries
+    # in this order, so the order fixes how it rounds.
+    for N, n in REFERENCE_SPACES:
+        sp = cs.enumerate_space(N, n)
+        st, X = sp._stencil, sp.configs
+        col = st.indices[st.slot]
+        moved = X[st.row] != X[col]
+        assert np.all(moved.sum(axis=1) == 2), (N, n)
+        a = np.argmax(moved, axis=1)
+        b = n - 1 - np.argmax(moved[:, ::-1], axis=1)
+        pair = a * n - a * (a + 1) // 2 + b - a - 1  # rank in combinations order
+        exchange = np.arange(st.row.size) >= st.moves
+        assert np.array_equal(exchange, X[st.row, a] != X[st.row, b]), (N, n)
+        order = np.lexsort((col, st.row, pair, exchange))
+        assert np.array_equal(order, np.arange(st.row.size)), (N, n)
+        assert np.array_equal(st.indices[st.diag], np.arange(sp.size)), (N, n)
+
+
+@pytest.mark.parametrize("x", [(1, 1, 3, 3), (1, 3, 1, 3)])
+def test_stencil_missing_configuration_raises(x):
+    # With a configuration removed, the site table of a pair tying x (every
+    # even configuration ties some pair; the second is untied for labels 0, 1)
+    # lacks a row, and the first assembly raises rather than misplace entries.
+    full = cs.enumerate_space(5, 4)
+    keep = np.ones(full.size, dtype=bool)
+    keep[full.idx(x)] = False
+    sp = cs.ConfigurationSpace(N=5, n=4, configs=full.configs[keep], pi=full.pi[keep],
+                               occ=full.occ[keep])
+    with pytest.raises(AssertionError, match="missing"):
+        cs.assemble_generator(sp, random_coeffs(5, 3))
+
+
+def test_inf_norm_reads_stored_data():
+    # ||B||_inf equals scipy's absolute row sum exactly; C with zero rows and
+    # C = 0 leave generator rows empty, which read as 0.
+    empty_rows = 0
+    for N, n in REFERENCE_SPACES:
+        sp = cs.enumerate_space(N, n)
+        C = coeffs_with_zeros(N, 7 + N + n)
+        isolated = C.copy()
+        isolated[: N // 2] = isolated[:, : N // 2] = 0.0
+        for coeffs in (C, isolated, np.zeros((N, N))):
+            for part in ("full", "move-only", "exchange-only"):
+                op = cs.assemble_generator(sp, coeffs, part=part)
+                assert rx._inf_norm(op) == float(np.max(abs(op.mat).sum(axis=1))), (N, n, part)
+                empty_rows += np.count_nonzero(np.diff(op.mat.indptr) == 0)
+    assert empty_rows
 
 
 def test_assembly_leaves_cached_pattern_intact():

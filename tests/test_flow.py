@@ -166,6 +166,23 @@ def test_refinement_redoes_only_its_path(monkeypatch, caplog):
     assert np.array_equal(UT, U.transpose(2, 1, 0))
 
 
+def test_refine_steps_no_half_from_rejected_gap(monkeypatch):
+    # Gap 0.01 fails the rule at h/2 = 5e-4 (10 h N = 0.015) and passes at
+    # h/4, so the first half is split without being stepped: every step
+    # `_refine` takes starts from a gap above 10 h N.
+    N, h = 3, 1e-3
+    taken, see_step = [], flow._see_step
+
+    def spy(lam, U, h, S):
+        taken.append(float(np.diff(lam, axis=0).min()) - flow.GAP_STEP_FACTOR * h * N)
+        return see_step(lam, U, h, S)
+
+    monkeypatch.setattr(flow, "_see_step", spy)
+    flow._refine(np.array([0.0, 0.01, 1.0])[:, None], np.eye(N)[:, :, None], h,
+                 flow._symmetric_noise(stream(5), 1, N), stream(6), None)
+    assert taken and min(taken) > 0.0
+
+
 def test_stream_aliases_and_bridge_key(monkeypatch):
     # SeedSequence zero-pads entropy shorter than 4 words and splits integers
     # into 32-bit words, so these keys alias (see `stream`).  The first is live:
@@ -252,6 +269,34 @@ def test_generator_consistency_finite_difference():
     se = obs.std(axis=0, ddof=1) / math.sqrt(paths) / delta
     for ix, x in enumerate(space.configs):
         assert abs(fd[x[0]] - exact[ix]) <= 3.0 * se[x[0]]
+
+
+def test_generator_matches_direct_perturbation_n4():
+    # B f_0 against (E f_delta - f_0) / delta on all 65 configurations of
+    # Lambda^4_5, with f = N^{n/2} pi^{-1/2} prod_a <u_{x_a}, v_a> over the
+    # eigenvectors of diag(lam0) + sqrt(delta) GOE: the SEE's law at time
+    # delta with no Euler error.  At n = 4 the exchange part, and so the sign
+    # of "move minus exchange", is live; on Lambda^2 it is empty.  The band
+    # |z| <= 4.1 is Bonferroni over the 65 comparisons at the family-wise
+    # level of one 3-stderr check.
+    N, n, delta, samples = 5, 4, 1e-3, 100_000
+    lam0 = np.linspace(-1.0, 1.0, N)
+    V = stream(61).standard_normal((N, n))
+    V /= np.linalg.norm(V, axis=0)
+    G = stream(62).standard_normal((samples, N, N))
+    H = np.diag(lam0) + math.sqrt(delta / (2.0 * N)) * (G + G.transpose(0, 2, 1))
+    overlaps = np.linalg.eigh(H)[1].transpose(0, 2, 1) @ V  # [s, k, a] = <u_k, v_a>
+    space = cs.enumerate_space(N, n)
+    B = cs.assemble_generator(space, rx.CoefficientSchedule.from_eigenvalues(lam0).coefficients())
+    scale = N ** (n / 2.0) / np.sqrt(space.pi)
+    f0 = scale * np.prod(V[space.configs, np.arange(n)], axis=1)
+    drift = B.mat @ f0
+    z = np.empty(space.size)
+    for c, x in enumerate(space.configs):
+        f = scale[c] * np.prod(overlaps[:, x, np.arange(n)], axis=1)
+        se = f.std(ddof=1) / math.sqrt(samples) / delta
+        z[c] = ((f.mean() - f0[c]) / delta - drift[c]) / se
+    assert np.max(np.abs(z)) <= 4.1, np.max(np.abs(z))
 
 
 def _unit_pair(N, seed):
