@@ -10,7 +10,7 @@ Subpackages by concern:
                 estimation
 - configspace:  even particle configurations, the reversible measure, move and
                 exchange operators, kernel projections, conditional
-                expectations, local projections, the colorblind map
+                expectations, local projections
 - relaxation:   propagators, Dirichlet forms, Poincare/Nash constants,
                 ultracontractivity curves, finite speed of propagation
 - ansatz:       Wick moments and the covariance-weighted ansatz observable
@@ -34,7 +34,6 @@ from .spectral import (
     covariance_form,
     eig_sym,
     free_convolution_m,
-    green_form,
     stieltjes,
     verify_assumptions,
 )
@@ -43,7 +42,6 @@ from .configspace import (
     WeightedOperator,
     assemble_generator,
     chi_indicator,
-    colorblind_transport,
     conditional_expectation,
     config_distance,
     enumerate_space,

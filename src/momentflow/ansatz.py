@@ -11,20 +11,7 @@ import math
 import numpy as np
 
 from .configspace import matchings, pi_weight
-from .spectral import covariance_form
-
-UNIT_TOL = 1e-10
-
-
-def _check_vectors(V, n):
-    V = [np.asarray(v, dtype=float) for v in V]
-    if len(V) != n:
-        raise ValueError(f"need {n} test vectors, got {len(V)}")
-    for v in V:
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > UNIT_TOL:
-            raise ValueError(f"test vectors must be unit (norm {nrm:.12g})")
-    return V
+from .spectral import _check_unit, covariance_form
 
 
 def _pair_representatives(sigma):
@@ -38,7 +25,9 @@ def gaussian_wick_moment(x, V, N=None):
     n = len(x)
     if N is None:
         N = max(x) + 1
-    V = _check_vectors(V, n)
+    if len(V) != n:
+        raise ValueError(f"need {n} test vectors, got {len(V)}")
+    _check_unit(V, "test vectors")
     total = 0.0
     for sigma in matchings(n, stabilizing=x):
         prod = 1.0
@@ -74,7 +63,9 @@ def ansatz_F(x, y, V, profile):
     if len(y) != n:
         raise ValueError("x and y must have the same particle number")
     N = profile.reference.N
-    V = _check_vectors(V, n)
+    if len(V) != n:
+        raise ValueError(f"need {n} test vectors, got {len(V)}")
+    _check_unit(V, "test vectors")
     cache = {}
     total = 0.0
     for sigma in matchings(n, stabilizing=x):
@@ -92,7 +83,9 @@ def ansatz_chi_coefficients(y, V, profile, n):
     dependence on x, which is exactly why the ansatz sits in the flow's kernel.
     """
     y = tuple(y)
-    V = _check_vectors(V, n)
+    if len(V) != n:
+        raise ValueError(f"need {n} test vectors, got {len(V)}")
+    _check_unit(V, "test vectors")
     cache = {}
     coefs = {}
     for sigma in matchings(n):

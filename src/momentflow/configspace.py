@@ -1,6 +1,6 @@
 """Even particle configurations, the reversible measure, move/exchange
 operators, kernel projections, conditional expectations, local projections,
-configuration distance, and the colorblind map.
+and configuration distance.
 
 Sites are 0-based: a configuration is a point x in {0..N-1}^n, and membership
 in the even space requires every site occupancy to be even.  A space stores
@@ -25,6 +25,8 @@ from ._rng import stream
 from .spectral import _cgs2
 
 SIZE_GUARD = 10**6
+# Haar samples orthonormalized together by haar_kernel_entries.
+HAAR_CHUNK = 4096
 
 
 def double_factorial(k):
@@ -179,7 +181,7 @@ def _label_groups(parts):
     return G
 
 
-def enumerate_space(N, n, size_guard=SIZE_GUARD):
+def enumerate_space(N, n):
     """Complete duplicate-free enumeration of the even configuration space.
 
     Configurations are generated occupancy pattern by occupancy pattern, as
@@ -190,8 +192,8 @@ def enumerate_space(N, n, size_guard=SIZE_GUARD):
     if n % 2 != 0 or n < 2:
         raise ValueError("particle number must be even and >= 2")
     total = count_even_configurations(N, n)
-    if total > size_guard:
-        raise ValueError(f"space too large: |Lambda^{n}_{N}| = {total} > {size_guard}")
+    if total > SIZE_GUARD:
+        raise ValueError(f"space too large: |Lambda^{n}_{N}| = {total} > {SIZE_GUARD}")
     blocks = []
     for parts in _even_part_multisets(n):
         k = len(parts)
@@ -492,7 +494,7 @@ def delta_pairing(space, op, x, y):
     return op.mat[i, j] / space.pi[j]
 
 
-def haar_kernel_entries(N, pairs, samples, seed, chunk=4096):
+def haar_kernel_entries(N, pairs, samples, seed):
     """Monte Carlo estimates of E[prod_a O_{x_a y_a}] for Haar orthogonal O.
 
     Haar measure is invariant under permutations of O's columns, so each
@@ -500,12 +502,12 @@ def haar_kernel_entries(N, pairs, samples, seed, chunk=4096):
     appearance without changing its expectation; the rows x stay.  Only the
     first k = max k_p columns are sampled: they are the thin Q factor, with a
     positive diagonal of R, of an N x k Gaussian matrix.  One stream of
-    samples serves every pair.  Chunks of `chunk` samples are orthonormalized
-    together by Gram-Schmidt in the column-major layout; while one chunk is
-    processed, a single worker thread draws the next from the stream in
-    sample-major order, so the estimates equal a serial run's and do not
-    depend on `chunk`.  Raises ValueError for a pair whose x and y differ in
-    length or hold a site outside [0, N).  Returns parallel lists
+    samples serves every pair.  Chunks of HAAR_CHUNK samples are
+    orthonormalized together by Gram-Schmidt in the column-major layout; while
+    one chunk is processed, a single worker thread draws the next from the
+    stream in sample-major order, so the estimates equal a serial run's and do
+    not depend on HAAR_CHUNK.  Raises ValueError for a pair whose x and y
+    differ in length or hold a site outside [0, N).  Returns parallel lists
     (estimates, stderrs).
     """
     if samples < 1:
@@ -523,7 +525,7 @@ def haar_kernel_entries(N, pairs, samples, seed, chunk=4096):
                                 dtype=np.intp)))
     k = max((int(y.max()) + 1 for _, y in idx if y.size), default=1)
     rng = stream(seed)
-    sizes = [min(chunk, samples - done) for done in range(0, samples, chunk)]
+    sizes = [min(HAAR_CHUNK, samples - done) for done in range(0, samples, HAAR_CHUNK)]
     total = np.zeros(len(idx))
     total_sq = np.zeros(len(idx))
 
@@ -684,48 +686,3 @@ def config_distance(x, y, window):
     lo, hi = np.minimum(x, y), np.maximum(x, y)
     count = np.searchsorted(w, hi, side="left") - np.searchsorted(w, lo, side="left")
     return count.max(axis=-1)
-
-
-def occupancy_fibers(space):
-    """Group configuration indices by their colorblind image (occupancy
-    pattern), in order of first appearance."""
-    keys, first, fiber = np.unique(space.occ // 2, axis=0, return_index=True,
-                                   return_inverse=True)
-    members = np.split(np.argsort(fiber, kind="stable"), np.cumsum(np.bincount(fiber))[:-1])
-    return {tuple(keys[k].tolist()): members[k] for k in np.argsort(first)}
-
-
-def colorblind_image(x, N):
-    """eta with eta_i = n_i(x)/2."""
-    return tuple(int(k) // 2 for k in occupancies(x, N))
-
-
-def colorblind_transport(space, direction, f):
-    """Pushforward (pi-weighted fiber average) or pullback along the colorblind map.
-
-    pushforward: f is an array over the space; returns {eta: value}.
-    pullback:    f is a mapping {eta: value}; returns an array over the space.
-    """
-    fibers = occupancy_fibers(space)
-    if direction == "pushforward":
-        f = np.asarray(f)
-        out = {}
-        for key, idxs in fibers.items():
-            w = space.pi[idxs]
-            out[key] = float(np.sum(w * f[idxs]) / np.sum(w))
-        return out
-    if direction == "pullback":
-        g = np.zeros(space.size)
-        for key, idxs in fibers.items():
-            g[idxs] = f[key]
-        return g
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def colorblind_projector(space):
-    """phi^* phi_*: pi-orthogonal projection onto label-symmetric functions."""
-    M = np.zeros((space.size, space.size))
-    for idxs in occupancy_fibers(space).values():
-        w = space.pi[idxs]
-        M[np.ix_(idxs, idxs)] = w[None, :] / w.sum()
-    return WeightedOperator(space, M, is_pi_self_adjoint=True)

@@ -8,7 +8,7 @@ symmetric because only one triangle is drawn and then mirrored.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -155,11 +155,6 @@ def sample_goe(N, seed):
     rng = stream(seed)
     A = rng.standard_normal((N, N))
     return (A + A.T) / math.sqrt(2.0 * N)
-
-
-def flat_profile(N):
-    """The flat generalized-Wigner variance profile sigma_ij^2 = 1/N."""
-    return np.full((N, N), 1.0 / N)
 
 
 def sample_generalized_wigner(spec):
@@ -310,11 +305,7 @@ def perturb_gaussian(H, t, seed):
 def sample_ensemble(spec, seed=None):
     """Dispatch on spec.kind; seed overrides spec.seed when given."""
     if seed is not None:
-        spec = EnsembleSpec(
-            kind=spec.kind, N=spec.N, p=spec.p, alpha=spec.alpha,
-            variance_profile=spec.variance_profile, entry_law=spec.entry_law,
-            profile_bound=spec.profile_bound, seed=seed,
-        )
+        spec = replace(spec, seed=seed)
     if spec.kind == "goe":
         return sample_goe(spec.N, spec.seed)
     if spec.kind == "generalized-wigner":

@@ -22,7 +22,7 @@ import numpy as np
 from ._rng import stream
 from .configspace import occupancies, pi_weight
 from .ensembles import perturb_gaussian, sample_ensemble
-from .spectral import _cgs2, eig_sym
+from .spectral import _cgs2, _check_unit, eig_sym
 
 log = logging.getLogger(__name__)
 
@@ -238,9 +238,7 @@ def _validate_request(req):
     V = np.asarray(req.vectors, dtype=float)
     if V.shape != (N, len(x)):
         raise ValueError(f"vectors must be {N} x {len(x)} columns")
-    norms = np.linalg.norm(V, axis=0)
-    if np.max(np.abs(norms - 1.0)) > 1e-10:
-        raise ValueError("test vectors must be unit")
+    _check_unit(V.T, "test vectors")
     return x, V
 
 

@@ -24,6 +24,7 @@ from ._rng import stream
 from .ensembles import EnsembleSpec, sample_ensemble
 from .flow import MomentRequest, estimate_moment, overlap_samples, see_endpoint_ensemble
 from .spectral import (
+    FIXED_POINT_TOL,
     FreeConvolutionProfile,
     RegularityWindow,
     SpectralDecomposition,
@@ -99,8 +100,7 @@ class ExperimentReport:
 class ExperimentConfig:
     """One experiment run: kind plus the knobs that kind reads.
 
-    Defaults follow desk-scale proportions of the asymptotic parameter
-    choices (see default_scales) and are echoed into the report so nothing is
+    Defaults are desk-scale choices, echoed into the report so nothing is
     hidden inside check code.  An unset n takes the kind's default: 4 for
     operator-suite and ansatz-compare, 2 for every other kind.
     """
@@ -225,17 +225,6 @@ def _apply_kind_defaults(cfg):
         cfg.n = 2
 
 
-def default_scales(N, n, t, delta=0.2):
-    """Desk-scale renormalization lengths: cutoff K, relaxation windows T1/T2,
-    and short/lattice ranges ell1/ell2 from the standard proportions."""
-    K = N ** (1.0 - delta) * t
-    T2 = (K / N) * (K / (N ** (1.0 + delta) * t)) ** (1.0 / (n + 2.0))
-    ell2 = math.sqrt(K * N * T2)
-    ell1 = K ** 0.75
-    T1 = math.sqrt(K) / N
-    return {"K": K, "T1": T1, "T2": T2, "ell1": ell1, "ell2": ell2}
-
-
 def validate_scale_chain(eta_star, t, r, N, omega_c):
     """Explicit inequality form of eta_star << t << r."""
     lo = eta_star * N ** omega_c
@@ -302,7 +291,7 @@ def _assumptions_experiment(cfg):
     gamma = classical_locations(profile)
     grid = np.linspace(cfg.window.E0 - cfg.window.r, cfg.window.E0 + cfg.window.r, 50)
     resid = float(np.max(fixed_point_residual(profile, np.concatenate([grid, grid + 0.1j]))))
-    _bound_check(checks, "fixed-point-residual", resid, profile.tolerance)
+    _bound_check(checks, "fixed-point-residual", resid, FIXED_POINT_TOL)
     _bound_check(checks, "quantile-defect", quantile_defect(profile), 1e-6)
     _bound_check(checks, "gamma-monotone-defect",
                  float(max(0.0, -np.min(np.diff(gamma)))), 0.0)

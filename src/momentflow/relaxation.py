@@ -31,8 +31,9 @@ class CoefficientSchedule:
     """Symmetric nonnegative jump coefficients c_ij(s), possibly time varying.
 
     upsilon declares the subquadratic decay rate c_ij >= upsilon / |i-j|^2;
-    inequalities that need it refuse to run when it is absent, and
-    heavytail_margin() lets callers check the declaration against the data.
+    inequalities that need it refuse to run when it is absent.  The caller
+    vouches for the declaration: only inverse_square meets it by
+    construction.
     """
 
     fn: object
@@ -88,22 +89,6 @@ class CoefficientSchedule:
         return CoefficientSchedule(fn=fn, N=self.N, upsilon=None,
                                    tag=f"short-range(ell={ell})",
                                    time_dependent=self.time_dependent)
-
-    def heavytail_margin(self, times=(0.0,)):
-        """min over sampled times and pairs of c_ij - upsilon/|i-j|^2 (>= 0 is good)."""
-        if self.upsilon is None:
-            raise ValueError("schedule does not declare a heavy-tail rate")
-        N = self.N
-        idx = np.arange(N)
-        gaps = idx[:, None] - idx[None, :]
-        offdiag = gaps != 0
-        floor = np.zeros((N, N))
-        floor[offdiag] = self.upsilon / gaps[offdiag].astype(float) ** 2
-        worst = math.inf
-        for s in times:
-            C = self.coefficients(s)
-            worst = min(worst, float(np.min((C - floor)[offdiag])))
-        return worst
 
 
 def _range_mask(N, ell, window):

@@ -29,6 +29,10 @@ FIXED_POINT_CHUNK = 128
 QUANTILE_TOL = 1e-13
 QUANTILE_ROUNDS = 100
 REGULAR_IM_THRESHOLD = 1e-6
+# verify_assumptions' grid: energies across the truncated window, times scales
+# geometric from eta_star to 1.
+GRID_ENERGIES = 25
+GRID_ETAS = 15
 
 
 @dataclass
@@ -140,21 +144,11 @@ def stieltjes(dec, z):
 
 
 def _check_unit(v, name):
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > ORTHO_TOL:
-        raise ValueError(f"{name} must be a unit vector (norm {nrm:.12g})")
-
-
-def green_form(dec, z, v, w):
-    """Resolvent quadratic form <v, (H - z)^{-1} w> for Im z > 0."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("resolvent form requires Im z > 0")
-    _check_unit(v, "v")
-    _check_unit(w, "w")
-    a = dec.frame.T @ v
-    b = dec.frame.T @ w
-    return complex(np.sum(a * b / (dec.eigenvalues - z)))
+    """Raise unless v, or each row of the stack v, has unit norm."""
+    nrm = np.atleast_1d(np.linalg.norm(v, axis=-1))
+    worst = nrm[np.argmax(np.abs(nrm - 1.0))]
+    if abs(worst - 1.0) > ORTHO_TOL:
+        raise ValueError(f"{name} must be unit (norm {worst:.12g})")
 
 
 @dataclass
@@ -194,9 +188,6 @@ class FreeConvolutionProfile:
 
     reference: SpectralDecomposition
     t: float
-    tolerance: float = FIXED_POINT_TOL
-    damping: float = FIXED_POINT_DAMPING
-    max_iterations: int = FIXED_POINT_CAP
     _cache: dict = field(default_factory=dict, repr=False)
     _gamma: np.ndarray | None = field(default=None, repr=False)
 
@@ -222,15 +213,15 @@ def _mean_reciprocal(lam, w, work):
 
 def _newton(profile, zs, m, active, buf, centre=None):
     """Guarded Newton on m[active], in place, until each residual is below
-    the tolerance; raises after profile.max_iterations steps.
+    FIXED_POINT_TOL; raises after FIXED_POINT_CAP steps.
 
     With centre, a point whose iterate leaves the disc |m - centre| <=
     Im centre / 2 stops there; the indices of those points are returned.
     """
-    t, omega, tol = profile.t, profile.damping, profile.tolerance
+    t, tol = profile.t, FIXED_POINT_TOL
     lam = profile.reference.eigenvalues
     left = [active[:0]]
-    for _ in range(profile.max_iterations):
+    for _ in range(FIXED_POINT_CAP):
         work = buf[:, :active.size]
         target = _mean_reciprocal(lam, zs[active] + t * m[active], work)
         resid = np.abs(m[active] - target)
@@ -243,7 +234,7 @@ def _newton(profile, zs, m, active, buf, centre=None):
         # Trust cap: fall back toward the damped update on wild steps.
         cap = 0.5 * (1.0 + np.abs(m[active]))
         wild = np.abs(step) > cap
-        step = np.where(wild, omega * (m[active] - target), step)
+        step = np.where(wild, FIXED_POINT_DAMPING * (m[active] - target), step)
         m[active] = np.where(done, m[active], m[active] - step)
         active = active[~done]
         if centre is not None:
@@ -260,7 +251,7 @@ def _solve_fixed_point(profile, zs, m0=None):
     """Vectorized solve of m = m_N(z + t m) on the upper-half-plane branch.
 
     A cold solve starts from m_N(z + i t) and runs damped iteration (factor
-    profile.damping) as a globally stable warmup, but its convergence rate
+    FIXED_POINT_DAMPING) as a globally stable warmup, but its convergence rate
     degenerates to 1 at spectral edges, so a Newton stage polishes the
     residual down to the tolerance; at a branch point the root is double and
     Newton still gains two residual digits per few steps.
@@ -276,7 +267,7 @@ def _solve_fixed_point(profile, zs, m0=None):
     cold, so the certificates built on F and on the residual never rest on a
     warm start.
     """
-    t, omega = profile.t, profile.damping
+    t, omega = profile.t, FIXED_POINT_DAMPING
     lam = profile.reference.eigenvalues
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if zs.size > FIXED_POINT_CHUNK:
@@ -294,22 +285,22 @@ def _solve_fixed_point(profile, zs, m0=None):
         m = np.array(m0, dtype=complex)
         active = _newton(profile, zs, m, active, buf, centre=m0)
         m[active] = _mean_reciprocal(lam, zs[active] + 1j * t, buf[:, :active.size])
-    for _ in range(min(profile.max_iterations, 12)):
+    for _ in range(min(FIXED_POINT_CAP, 12)):
         if active.size == 0:
             break
         target = _mean_reciprocal(lam, zs[active] + t * m[active], buf[:, :active.size])
         resid = np.abs(m[active] - target)
         m[active] = (1.0 - omega) * m[active] + omega * target
-        active = active[resid > profile.tolerance]
+        active = active[resid > FIXED_POINT_TOL]
     _newton(profile, zs, m, active, buf)
     # The branch has Im m >= 0; clip roundoff-level negatives when harmless.
     dirty = m.imag < 0
     if np.any(dirty):
         cleaned = np.where(dirty, m.real + 0.0j, m)
         target = profile.empirical_stieltjes(zs + t * cleaned)
-        ok = np.abs(cleaned - target) <= profile.tolerance
+        ok = np.abs(cleaned - target) <= FIXED_POINT_TOL
         m = np.where(dirty & ok, cleaned, m)
-        if np.any(m.imag < -profile.tolerance):
+        if np.any(m.imag < -FIXED_POINT_TOL):
             raise RuntimeError("fixed point left the upper half plane")
         m = np.where(m.imag < 0, m.real + 0.0j, m)
     return m
@@ -446,7 +437,7 @@ def quantile_defect(profile, gamma=None):
     return float(np.max(np.abs(F - levels)))
 
 
-def covariance_form(profile, i, v, w, threshold=REGULAR_IM_THRESHOLD):
+def covariance_form(profile, i, v, w):
     """Quadratic form <v, Im G(gamma_i + t m) w> / Im m of the limiting covariance.
 
     The form is symmetric and positive semidefinite; it collapses to <v, w>
@@ -458,7 +449,7 @@ def covariance_form(profile, i, v, w, threshold=REGULAR_IM_THRESHOLD):
     if not (0 <= i < profile.reference.N):
         raise ValueError(f"index {i} outside [0, {profile.reference.N})")
     m = free_convolution_m(profile, complex(gamma[i]))
-    if m.imag <= threshold:
+    if m.imag <= REGULAR_IM_THRESHOLD:
         raise ValueError(
             f"outside regular spectrum: Im m = {m.imag:.3g} at index {i}"
         )
@@ -499,15 +490,15 @@ class AssumptionReport:
         }
 
 
-def verify_assumptions(dec, window, S, exponent_budget=0.5, n_energy=25, n_eta=15):
+def verify_assumptions(dec, window, S, exponent_budget=0.5):
     """Scan |Im m_N| and |<v, Im G w>| over the window grid against the budgets.
 
     Always produces a report; pass/fail is recorded, never raised.
     """
     window.validate(dec.N)
     lo, hi = window.energy_interval()
-    energies = np.linspace(lo, hi, n_energy)
-    etas = np.geomspace(window.eta_star, 1.0, n_eta)
+    energies = np.linspace(lo, hi, GRID_ENERGIES)
+    etas = np.geomspace(window.eta_star, 1.0, GRID_ETAS)
     lam = dec.eigenvalues
     zs = (energies[:, None] + 1j * etas[None, :]).ravel()
     m_vals = np.mean(1.0 / (lam[:, None] - zs[None, :]), axis=0)
@@ -526,8 +517,8 @@ def verify_assumptions(dec, window, S, exponent_budget=0.5, n_energy=25, n_eta=1
     budget = dec.N ** exponent_budget
     return AssumptionReport(
         N=dec.N,
-        grid_energies=n_energy,
-        grid_etas=n_eta,
+        grid_energies=GRID_ENERGIES,
+        grid_etas=GRID_ETAS,
         inf_im_m=float(im_abs.min()),
         sup_im_m=float(im_abs.max()),
         eigenvalue_pass=bool(im_abs.min() >= 1.0 / window.C and im_abs.max() <= window.C),

@@ -1,6 +1,7 @@
 """Ensemble samplers: laws, symmetry, determinism, invariance."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_generalized_wigner_flat_matches_profile_formula():
     # square root of an explicit flat profile, as for a custom one.
     N = 200
     iu = np.triu_indices(N, 1)
-    sigma = np.sqrt(ens.flat_profile(N))
+    sigma = np.sqrt(np.full((N, N), 1.0 / N))
     for law in ("bernoulli", "gaussian"):
         for seed in (0, 1, 2):
             rng = stream(seed)
@@ -105,6 +106,19 @@ def test_generalized_wigner_flat_matches_profile_formula():
     # A declared bound below 1 leaves no admissible profile, so the spec is refused.
     with pytest.raises(ValueError, match="non-degeneracy range"):
         ens.EnsembleSpec(kind="generalized-wigner", N=4, profile_bound=0.5)
+
+
+def test_sample_ensemble_seed_override_keeps_every_field():
+    # seed= replaces the spec's seed and nothing else: a spec that sets every
+    # optional field samples the same matrix either way.
+    N = 30
+    gap = np.abs(np.arange(N)[:, None] - np.arange(N)[None, :])
+    profile = (1.0 + 0.5 * np.cos(2.0 * np.pi * gap / N)) / N
+    spec = ens.EnsembleSpec(kind="generalized-wigner", N=N, variance_profile=profile,
+                            entry_law="gaussian", profile_bound=2.0, seed=1)
+    for s in (5, (5, 3, 0)):
+        assert np.array_equal(ens.sample_ensemble(spec, seed=s),
+                              ens.sample_ensemble(replace(spec, seed=s)))
 
 
 def test_generalized_wigner_two_by_two():

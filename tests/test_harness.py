@@ -14,19 +14,10 @@ from momentflow.harness import (
     CheckResult,
     ExperimentConfig,
     ExperimentReport,
-    default_scales,
     emit_report,
     run_experiment,
     validate_scale_chain,
 )
-
-
-def test_default_scales_proportions():
-    sc = default_scales(N=40, n=2, t=0.5, delta=0.2)
-    assert sc["K"] == pytest.approx(40**0.8 * 0.5)
-    assert sc["ell1"] == pytest.approx(sc["K"] ** 0.75)
-    assert sc["T1"] == pytest.approx(np.sqrt(sc["K"]) / 40)
-    assert sc["ell2"] == pytest.approx(np.sqrt(sc["K"] * 40 * sc["T2"]))
 
 
 def test_scale_chain_validation():

@@ -20,16 +20,6 @@ def random_schedule(N, seed, upsilon=None):
     return rx.CoefficientSchedule.constant(C, upsilon=upsilon)
 
 
-def test_schedule_heavytail_margin():
-    s = rx.CoefficientSchedule.inverse_square(10, upsilon=1.0)
-    assert s.heavytail_margin() >= 0.0
-    weak = rx.CoefficientSchedule.constant(
-        0.5 * s.coefficients(), upsilon=1.0)
-    assert weak.heavytail_margin() < 0.0
-    with pytest.raises(ValueError, match="rate"):
-        random_schedule(6, 0).heavytail_margin()
-
-
 def test_propagate_identity_and_snapshots():
     sp = cs.enumerate_space(6, 2)
     sched = rx.CoefficientSchedule.inverse_square(6, 1.0)

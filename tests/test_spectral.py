@@ -7,7 +7,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from momentflow import ansatz as az
 from momentflow import ensembles as ens
+from momentflow import flow
 from momentflow import spectral as spx
 from momentflow._rng import stream
 
@@ -129,40 +131,11 @@ def test_stieltjes_semicircle():
     assert abs(spx.stieltjes(dec, 1j) - m_sc) < 0.01
 
 
-def test_green_form_scalar_and_orthogonal():
-    dec = zero_dec(5)
-    v = unit(stream(1), 5)
-    assert spx.green_form(dec, 1j, v, v) == pytest.approx(-1.0 / 1j)
-    # orthogonal overlaps give zero
-    dec2 = spx.eig_sym(np.diag([1.0, 2.0, 3.0]))
-    assert spx.green_form(dec2, 1j, np.eye(3)[0], np.eye(3)[1]) == pytest.approx(0.0)
-    with pytest.raises(ValueError, match="unit"):
-        spx.green_form(dec, 1j, 2 * v, v)
-
-
-def test_green_form_psd_imaginary_part():
-    rng = stream(2)
-    for k in range(100):
-        N = 8
-        dec = spx.eig_sym(ens.sample_goe(N, (2, k)))
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.05, 1.0))
-        v = unit(rng, N)
-        assert spx.green_form(dec, z, v, v).imag >= 0
-
-
-def test_green_form_averages_to_stieltjes():
-    N = 12
-    dec = spx.eig_sym(ens.sample_goe(N, 3))
-    z = 0.3 + 0.7j
-    avg = sum(spx.green_form(dec, z, np.eye(N)[i], np.eye(N)[i]) for i in range(N)) / N
-    assert abs(avg - spx.stieltjes(dec, z)) < 1e-12
-
-
 def test_free_convolution_center_value():
     prof = spx.FreeConvolutionProfile(zero_dec(100), 1.0)
     m = spx.free_convolution_m(prof, 0.0)
     assert abs(m - 1j) <= 1e-8
-    assert spx.fixed_point_residual(prof, 0.0) <= prof.tolerance
+    assert spx.fixed_point_residual(prof, 0.0) <= spx.FIXED_POINT_TOL
 
 
 def test_free_convolution_small_t_degenerate():
@@ -171,18 +144,18 @@ def test_free_convolution_small_t_degenerate():
     assert abs(spx.free_convolution_m(prof, 1j) - spx.stieltjes(dec, 1j)) <= 1e-6
 
 
-def test_free_convolution_real_axis_stall_raises():
+def test_free_convolution_real_axis_stall_raises(monkeypatch):
     # No silent restart off the axis: a real-axis solve that cannot reach the
     # tolerance within its iteration cap raises.
-    prof = spx.FreeConvolutionProfile(spx.eig_sym(ens.sample_goe(40, 12)), 0.5,
-                                      max_iterations=2)
+    prof = spx.FreeConvolutionProfile(spx.eig_sym(ens.sample_goe(40, 12)), 0.5)
+    # The warm start is solved under the full cap, before it is cut.
+    m0 = spx._solve_fixed_point(prof, np.array([0.35]))
+    monkeypatch.setattr(spx, "FIXED_POINT_CAP", 2)
     with pytest.raises(RuntimeError, match="did not converge"):
         spx.free_convolution_m(prof, 0.3)
     assert not prof._cache
     # A warm start skips the warmup but keeps the Newton stage's cap.  The
     # converged m at 0.35 lies well inside its disc, so the warm stage raises.
-    nearby = spx.FreeConvolutionProfile(prof.reference, prof.t)
-    m0 = spx._solve_fixed_point(nearby, np.array([0.35]))
     with pytest.raises(RuntimeError, match="did not converge"):
         spx._solve_fixed_point(prof, np.array([0.3]), m0=m0)
 
@@ -193,7 +166,7 @@ def test_free_convolution_residual_grid():
     pts = [complex(E, eta) for E in np.linspace(-2, 2, 10)
            for eta in (0.0, 0.01, 0.1, 0.5, 1.0)]
     per_point = np.array([spx.fixed_point_residual(prof, z) for z in pts])
-    assert per_point.max() <= prof.tolerance
+    assert per_point.max() <= spx.FIXED_POINT_TOL
     for z in pts:
         assert spx.free_convolution_m(prof, z).imag >= 0
     # One batched cold solve gives the per-point residuals.
@@ -237,8 +210,8 @@ def test_warm_start_matches_cold_at_classical_locations(monkeypatch):
     F_warm, _, warm = spx._cdf_and_density(prof, gamma, m0)
     # Every point stayed warm: none left its disc for a cold solve.
     assert left and sum(ix.size for ix in left) == 0
-    assert np.max(spx.fixed_point_residual(prof, gamma, m=warm)) <= prof.tolerance
-    assert np.max(np.abs(warm - cold)) <= 10 * prof.tolerance
+    assert np.max(spx.fixed_point_residual(prof, gamma, m=warm)) <= spx.FIXED_POINT_TOL
+    assert np.max(np.abs(warm - cold)) <= 10 * spx.FIXED_POINT_TOL
     assert np.max(np.abs(F_warm - F_cold)) <= 1e-13
 
 
@@ -362,15 +335,31 @@ def test_covariance_form_symmetry_and_psd():
         assert spx.covariance_form(prof, 20, v, v) >= 0
 
 
-def test_covariance_form_outside_regular_spectrum():
-    dec = spx.eig_sym(ens.sample_goe(40, 6))
-    prof = spx.FreeConvolutionProfile(dec, 1e-4)
-    # far outside the spectrum the density vanishes
-    prof2 = spx.FreeConvolutionProfile(zero_dec(8), 0.01)
+def test_covariance_form_outside_regular_spectrum(monkeypatch):
+    # The edge index of a small-t profile has little density at gamma; a
+    # raised threshold puts it outside the regular spectrum.
+    prof = spx.FreeConvolutionProfile(zero_dec(8), 0.01)
     v = np.eye(8)[0]
+    monkeypatch.setattr(spx, "REGULAR_IM_THRESHOLD", 10.0)
     with pytest.raises(ValueError, match="outside regular spectrum"):
-        # edge index of a tiny-t profile has essentially no density at gamma
-        spx.covariance_form(prof2, 0, v, v, threshold=10.0)
+        spx.covariance_form(prof, 0, v, v)
+
+
+@pytest.mark.parametrize("entry", ["moment_samples", "gaussian_wick_moment",
+                                   "covariance_form"])
+def test_entry_points_reject_non_unit_vector(entry):
+    N = 4
+    bad, e1 = 1.001 * np.eye(N)[0], np.eye(N)[1]
+    call = {
+        "moment_samples": lambda: flow.moment_samples(flow.MomentRequest(
+            configuration=(0, 0), vectors=np.column_stack([bad, e1]),
+            ensemble=ens.EnsembleSpec(kind="goe", N=N), t=0.0, trials=2, seed=0)),
+        "gaussian_wick_moment": lambda: az.gaussian_wick_moment((0, 0), [bad, e1], N=N),
+        "covariance_form": lambda: spx.covariance_form(
+            spx.FreeConvolutionProfile(zero_dec(N), 1.0), 0, bad, e1),
+    }[entry]
+    with pytest.raises(ValueError, match="unit"):
+        call()
 
 
 def test_verify_assumptions_goe():
