@@ -34,5 +34,5 @@ def stream(seed, *ids):
     _flatten(seed, entropy)
     for i in ids:
         _flatten(i, entropy)
-    key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    # Philox seeded by a SeedSequence takes generate_state(2, uint64) as its key.
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

@@ -124,12 +124,6 @@ def operator_norm_11(space, mat):
     return float(np.max(meas.sum(axis=0)))
 
 
-def operator_norm_2inf(space, mat):
-    """Exact L2 -> Linf norm: max over rows of the pi-weighted row norm."""
-    A = np.asarray(mat)
-    return float(np.sqrt(np.max(np.sum(A**2 / space.pi[None, :], axis=1))))
-
-
 @dataclass
 class PropagationResult:
     """Snapshots of a propagated function with their pi-norms."""
@@ -314,20 +308,27 @@ class UCCurve:
 
 
 def ultracontractivity_curve(space, schedule, s_grid, kernel_op=None):
-    """Exact ||(1-K) e^{s B}||_{2,inf} for a time-constant schedule."""
+    """Exact ||(1-K) e^{s B}||_{2,inf} for a time-constant schedule on a grid
+    of finite times s >= 0.
+
+    With Pi^{1/2} B Pi^{-1/2} = Q diag(w) Q^T and
+    P = (I - Pi^{1/2} K Pi^{-1/2}) Q, row x of (1-K) e^{sB} has squared
+    pi-weighted norm pi_x^{-1} sum_k P_xk^2 e^{2 s w_k}, because Q^T Q = I.
+    So the whole grid costs one product with K and one with the exponentials.
+    """
     if schedule.time_dependent:
         raise ValueError("ultracontractivity curve expects a time-constant schedule")
     if schedule.upsilon is None:
         raise ValueError("ultracontractivity requires a declared heavy-tail rate")
+    s_grid = np.asarray(s_grid, dtype=float)
+    if not np.all(np.isfinite(s_grid) & (s_grid >= 0)):
+        raise ValueError("s_grid must be finite and nonnegative")
     op = assemble_generator(space, schedule.coefficients(0.0))
     K = (kernel_op if kernel_op is not None else kernel_projection(space)).dense()
-    eig = _symmetrized_eig(space, op)
-    s_grid = np.asarray(s_grid, dtype=float)
-    norms = np.empty_like(s_grid)
-    eye = np.eye(space.size)
-    for k, s in enumerate(s_grid):
-        norms[k] = operator_norm_2inf(space, (eye - K) @ _eig_apply(eig, eye, s).T)
-    return UCCurve(s=s_grid, norms=norms)
+    w, Q, half = _symmetrized_eig(space, op)
+    P = Q - half[:, None] * (K @ (Q / half[:, None]))
+    rows = (P**2 @ np.exp(2.0 * np.multiply.outer(w, s_grid))) / space.pi[:, None]
+    return UCCurve(s=s_grid, norms=np.sqrt(np.max(rows, axis=0, initial=0.0)))
 
 
 @dataclass
@@ -372,14 +373,15 @@ def l1_growth(space, schedule, s_grid):
     if np.any(s_grid < 0) or np.any(np.diff(s_grid) < 0):
         raise ValueError("s_grid must be nonnegative and nondecreasing")
     out = np.empty_like(s_grid)
-    eye = np.eye(space.size)
     if not schedule.time_dependent:
-        eig = _symmetrized_eig(space, assemble_generator(space, schedule.coefficients(0.0)))
+        w, Q, half = _symmetrized_eig(space, assemble_generator(space, schedule.coefficients(0.0)))
+        g = half[:, None] * Q
         for k, s in enumerate(s_grid):
-            out[k] = operator_norm_11(space, _eig_apply(eig, eye, s).T)
+            # (e^{sB})^T in _eig_apply's operation order, so the values match it bit for bit.
+            out[k] = operator_norm_11(space, ((np.exp(s * w) * g) @ Q.T / half).T)
         return list(zip(s_grid.tolist(), out.tolist()))
     # Time-varying: march the full matrix between grid points.
-    mat, prev = eye, 0.0
+    mat, prev = np.eye(space.size), 0.0
     for k, s in enumerate(s_grid):
         if s > prev:
             steps = max(64, _stable_steps(space, schedule, prev, s))

@@ -135,6 +135,7 @@ def test_criterion_03_haar_kernel_crosscheck():
            f"exact-entry-defect={exact_defect:.2e} worst-sigmas={worst_sig:.2f}")
 
 
+@pytest.mark.slow
 def test_criterion_04_generator_vs_see():
     # N=5, n=2, 1e5 paths, delta=1e-3: drift matches B_s f within 3 stderr.
     N, delta, dt, paths = 5, 1e-3, 1e-5, 100_000
@@ -247,6 +248,7 @@ def _joint_normality(num, name, spec, trials, fourth_three_sigma=False):
     report(num, name, ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_09_joint_normality_generalized_wigner():
     _joint_normality(
         9, "joint-normality-genwig",
@@ -281,6 +283,7 @@ def test_criterion_10_ansatz_consistency():
            f"wick-match={worst_match:.2e} kernel={worst_kernel:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_11_joint_normality_sparse_graph():
     # Known-red at these parameters: sparse-graph second moments carry
     # direction-dependent deterministic corrections of order 1/p ~ 0.02

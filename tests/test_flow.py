@@ -183,6 +183,22 @@ def test_refine_steps_no_half_from_rejected_gap(monkeypatch):
     assert taken and min(taken) > 0.0
 
 
+@pytest.mark.parametrize("key", [(731, 9), ((731, 9, 0),), (2**32,), (0, 1), (9, 0, 0),
+                                 (9,), (9, 0, 0, 1), (2**40,), (7, (3, 2**63 - 1))])
+def test_stream_matches_explicit_philox_key(key):
+    # Philox seeded by a SeedSequence derives the key that SeedSequence's
+    # generate_state(2, uint64) gives, with counter and buffer at zero.
+    entropy = []
+    for part in key:
+        entropy.extend(part if isinstance(part, tuple) else [part])
+    entropy = [int(v) & ((1 << 63) - 1) for v in entropy]
+    explicit = np.random.Philox(key=np.random.SeedSequence(entropy).generate_state(2, np.uint64))
+    got = stream(*key).bit_generator
+    assert got.state["state"]["key"].tolist() == explicit.state["state"]["key"].tolist()
+    assert got.state["state"]["counter"].tolist() == explicit.state["state"]["counter"].tolist()
+    assert got.random_raw(16).tolist() == explicit.random_raw(16).tolist()
+
+
 def test_stream_aliases_and_bridge_key(monkeypatch):
     # SeedSequence zero-pads entropy shorter than 4 words and splits integers
     # into 32-bit words, so these keys alias (see `stream`).  The first is live:

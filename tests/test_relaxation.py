@@ -12,6 +12,24 @@ from momentflow import relaxation as rx
 from momentflow._rng import stream
 
 
+def operator_norm_2inf(space, mat):
+    """Exact L2 -> Linf norm: max over rows of the pi-weighted row norm."""
+    A = np.asarray(mat)
+    return float(np.sqrt(np.max(np.sum(A**2 / space.pi[None, :], axis=1))))
+
+
+def dense_uc_norm(space, eig, K, s):
+    """||(1 - K) e^{sB}||_{2,inf} by a row scan of the dense matrix.
+
+    (1 - K) multiplies Pi^{-1/2} Q before the exponentials: e^{sB} keeps an
+    O(1) kernel part, and subtracting K e^{sB} after the fact leaves rounding
+    of order eps ||e^{sB}||, 1.5e-13 of the norm on Lambda^4_6 at s = 5.
+    """
+    w, Q, half = eig
+    A = ((np.eye(space.size) - K) @ (Q / half[:, None])) * np.exp(s * w) @ (Q.T * half)
+    return operator_norm_2inf(space, A)
+
+
 def random_schedule(N, seed, upsilon=None):
     rng = stream(seed)
     C = rng.uniform(0.1, 1.0, (N, N))
@@ -249,7 +267,7 @@ def test_ultracontractivity_curve():
     assert curve.slope(0.2, 0.5) <= -0.7
     assert curve.envelope_defect() <= 1e-10
     # s -> 0 continuity
-    lim = rx.operator_norm_2inf(sp, np.eye(sp.size) - K.dense())
+    lim = operator_norm_2inf(sp, np.eye(sp.size) - K.dense())
     tiny = rx.ultracontractivity_curve(sp, sched, [1e-9], kernel_op=K).norms[0]
     assert abs(tiny - lim) <= 1e-6
     # quadrupling coefficients rescales time exactly
@@ -257,6 +275,33 @@ def test_ultracontractivity_curve():
     a = rx.ultracontractivity_curve(sp, sched, [0.4], kernel_op=K).norms[0]
     b = rx.ultracontractivity_curve(sp, s4, [0.1], kernel_op=K).norms[0]
     assert a == pytest.approx(b, abs=1e-12)
+
+
+@pytest.mark.parametrize("N, n", [(6, 4), (10, 4), (12, 2)])
+@pytest.mark.parametrize("kernel", ["default", "projection", "arbitrary"])
+def test_ultracontractivity_curve_matches_dense_oracle(N, n, kernel):
+    sp = cs.enumerate_space(N, n)
+    sched = rx.CoefficientSchedule.inverse_square(N, upsilon=1.0)
+    eig = rx._symmetrized_eig(sp, cs.assemble_generator(sp, sched.coefficients()))
+    op = {"default": None,
+          "projection": cs.kernel_projection(sp),
+          # The identity needs only Q^T Q = I, so any operator in K's place works.
+          "arbitrary": cs.WeightedOperator(sp, stream(3).standard_normal((sp.size, sp.size))),
+          }[kernel]
+    K = (op if op is not None else cs.kernel_projection(sp)).dense()
+    grid = np.concatenate([[0.0, 1e-9], np.geomspace(2.0 / N, 0.5, 6), [1.0, 5.0]])
+    curve = rx.ultracontractivity_curve(sp, sched, grid, kernel_op=op)
+    want = np.array([dense_uc_norm(sp, eig, K, s) for s in grid])
+    np.testing.assert_allclose(curve.norms, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("grid", [[-0.1], [0.2, -1e-12], [np.nan], [0.2, np.inf]])
+def test_ultracontractivity_curve_rejects_negative_or_nonfinite_time(grid):
+    # A negative time would evaluate the inverse semigroup.
+    sp = cs.enumerate_space(6, 4)
+    sched = rx.CoefficientSchedule.inverse_square(6, upsilon=1.0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        rx.ultracontractivity_curve(sp, sched, grid)
 
 
 def test_fsp_profile_bounds():
@@ -316,6 +361,18 @@ def test_l1_growth_rejects_unordered_or_negative_grid(time_dependent, grid):
         sched = rx.CoefficientSchedule.from_function(lambda s: C, N=6)
     with pytest.raises(ValueError, match="nondecreasing"):
         rx.l1_growth(sp, sched, grid)
+
+
+@pytest.mark.parametrize("N", [6, 8, 10])
+def test_l1_growth_constant_matches_two_product_formula(N):
+    # The reference forms (e^{sB})^T through _eig_apply on the identity.
+    sp = cs.enumerate_space(N, 4)
+    sched = rx.CoefficientSchedule.inverse_square(N, 1.0)
+    eig = rx._symmetrized_eig(sp, cs.assemble_generator(sp, sched.coefficients()))
+    grid = [0.0, 0.05, 0.2, 0.6, 1.0, 3.0]
+    eye = np.eye(sp.size)
+    want = [(s, rx.operator_norm_11(sp, rx._eig_apply(eig, eye, s).T)) for s in grid]
+    assert np.array_equal(rx.l1_growth(sp, sched, grid), want)
 
 
 def test_l1_growth_curve():
