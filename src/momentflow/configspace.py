@@ -281,37 +281,27 @@ class WeightedOperator:
 
 @dataclass(frozen=True)
 class _Stencil:
-    """Every off-diagonal entry of B(C) on one space, in the order each
-    diagonal sums them (moves, then exchanges, each by label pair, row and
-    target), and the canonical CSR pattern (indptr, indices) they fill with
-    the diagonal.
+    """The generator B(C) on one space as one row per stored CSR slot, in the
+    canonical order of the pattern (indptr, indices), diagonal slots included.
 
-    Entry k lies in row row[k], is stored at data[slot[k]], and has the value
-    c_ij * num[k] / den[k], where site[k] = i * N + j; the full generator
-    negates the exchanges.  Row r's diagonal is data[diag[r]].  A move is
-    stored once for both orderings of its label pair, with
-    num / den = 2 (n_j+1) / (n_i-1); an exchange has num / den = 2 / 1.
-    Keeping the weight as a fraction makes c_ij * num / den round exactly as
-    the per-ordering sum 2 * (c_ij (n_j+1) / (n_i-1)) does.
+    Slot k holds c_ij * num[k] / den[k], where site[k] = i * N + j indexes C
+    raveled with a trailing 0.0; move[k] marks the moves.  A move is stored
+    once for both orderings of its label pair, with num / den =
+    2 (n_j+1) / (n_i-1); an exchange has num / den = -2 / 1, the sign of the
+    full generator.  Keeping the weight as a fraction makes c_ij * num / den
+    round exactly as the per-ordering sum 2 * (c_ij (n_j+1) / (n_i-1)) does,
+    and c * (-2) / 1 as -(c * 2 / 1).  Row r's diagonal is slot diag[r]; its
+    site is the trailing zero, with num 0 and den 1, so it holds 0.0 until
+    the row is summed.
     """
 
-    row: np.ndarray
     site: np.ndarray
     num: np.ndarray
     den: np.ndarray
-    moves: int
+    move: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    slot: np.ndarray
     diag: np.ndarray
-
-    def part(self, name):
-        """Slice of the entries that make up one generator part."""
-        if name == "move-only":
-            return slice(None, self.moves)
-        if name == "exchange-only":
-            return slice(self.moves, None)
-        return slice(None)
 
 
 def _build_stencil(space):
@@ -347,27 +337,32 @@ def _build_stencil(space):
     p, r = np.nonzero(~tied.T)
     xa, xb = X[r, a[p]], X[r, b[p]]
     swap = (r, space._locate(codes[r] + (xb - xa) * (radix[a] - radix[b])[p]),
-            np.minimum(xa, xb) * N + np.maximum(xa, xb), np.full(r.size, 2.0), np.ones(r.size))
-    row, col, site, num, den = (np.concatenate(parts) for parts in zip(move, swap))
-    del move, swap  # copied into the arrays above; freed before the pattern is built
+            np.minimum(xa, xb) * N + np.maximum(xa, xb), np.full(r.size, -2.0), np.ones(r.size))
+    # Diagonal: row r's slot reads the trailing zero of C, so it holds 0.0.
+    rows = np.arange(size)
+    diag = (rows, rows, np.full(size, N * N), np.zeros(size), np.ones(size))
+    row, col, site, num, den = (np.concatenate(parts) for parts in zip(move, swap, diag))
+    moves = move[0].size
+    del move, swap, diag  # copied into the arrays above; freed before the pattern is built
     # Each pair's moves and exchanges, and the diagonal, ascend in (row, col),
-    # so the stable sort merges sorted runs.  Index dtype as scipy's.
-    idx = np.int32 if row.size + size <= np.iinfo(np.int32).max else np.int64
-    cols = np.concatenate([col, np.arange(size)]).astype(idx)
-    perm = np.argsort(np.concatenate([row, np.arange(size)]) * size + cols, kind="stable")
-    where = np.empty_like(perm)
-    where[perm] = np.arange(perm.size)
+    # so the stable sort merges sorted runs.  Index dtype as scipy's; site
+    # stays intp, which np.take reads without a converted copy.
+    idx = np.int32 if row.size <= np.iinfo(np.int32).max else np.int64
+    perm = np.argsort(row * size + col, kind="stable")
     # Row r holds its diagonal, an exchange per untied pair, N - 1 moves per tied one.
     indptr = np.concatenate([[0], np.cumsum(1 + a.size + (N - 2) * tied.sum(axis=1))])
-    return _Stencil(row=row, site=site, num=num, den=den, moves=row.size - r.size,
-                    indptr=indptr.astype(idx), indices=cols[perm],
-                    slot=where[:row.size], diag=where[row.size:])
+    return _Stencil(site=site[perm].astype(np.intp, copy=False), num=num[perm],
+                    den=den[perm], move=perm < moves,
+                    indptr=indptr.astype(idx), indices=col[perm].astype(idx),
+                    diag=np.flatnonzero(perm >= row.size - size))
 
 
 def _validate_coeffs(space, coeffs):
     C = np.asarray(coeffs, dtype=float)
     if C.shape != (space.N, space.N):
         raise ValueError(f"coefficient map must be {space.N}x{space.N}")
+    if not np.all(np.isfinite(C)):
+        raise ValueError("coefficients must be finite")
     if not np.array_equal(C, C.T):
         raise ValueError("coefficient map must be symmetric")
     if np.any(C < 0):
@@ -386,26 +381,29 @@ def assemble_generator(space, coeffs, part="full"):
     All three have zero row sums and are self-adjoint for the measure pi.
 
     B(C) is linear in C on a sparsity pattern fixed by the space, so every
-    generator is CSR on the space's cached stencil: the off-diagonal entries
-    are reweighted by c_ij, the diagonal is minus the row sums, and zeros
-    (+0.0 or -0.0) are dropped.
+    generator is CSR on the space's cached stencil: one gather-multiply of
+    c_ij into the stored slots in CSR order, then each diagonal is minus its
+    row's sum in column order, and zeros (+0.0 or -0.0) are dropped.
     """
     if part not in ("full", "move-only", "exchange-only"):
         raise ValueError(f"unknown part {part!r}")
     C = _validate_coeffs(space, coeffs)
     st = space._stencil
-    sel = st.part(part)
-    vals = np.take(C, st.site[sel]) * st.num[sel] / st.den[sel]
-    if part == "full":
-        vals[st.moves:] *= -1.0
-    data = np.zeros(st.indices.size)
-    data[st.slot[sel]] = vals
-    data[st.diag] = -np.bincount(st.row[sel], weights=vals, minlength=space.size)
+    data = np.take(np.append(C.ravel(), 0.0), st.site)
+    data *= st.num
+    data /= st.den
+    if part == "move-only":
+        data[~st.move] = 0.0
+    elif part == "exchange-only":
+        data[st.move] = 0.0
+        np.negative(data, out=data)
+    data[st.diag] = -np.add.reduceat(data, st.indptr[:-1])
     # eliminate_zeros rewrites the index arrays in place, so each matrix gets
     # its own copy of the pattern.
     mat = sp.csr_matrix((data, st.indices.copy(), st.indptr.copy()),
                         shape=(space.size, space.size))
-    mat.eliminate_zeros()
+    if not data.all():  # a zero, +0.0 or -0.0, is stored
+        mat.eliminate_zeros()
     return WeightedOperator(space, mat, is_pi_self_adjoint=True)
 
 

@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from ._rng import stream
 from .configspace import occupancies, pi_weight
@@ -58,14 +59,23 @@ class EigenPath:
 
 
 def _orthonormalize(U):
-    """Orthonormal Q factors of an (N, N, b) column-major batch, in place for b > 1.
+    """Orthonormal Q factors of an (N, N, b) column-major batch, which may be overwritten.
 
     U[j, :, p] is column j of path p's matrix, the layout `spectral._cgs2`
-    consumes.  One matrix goes through Householder QR; a batch goes through
-    CGS2, which is faster there.  Column signs are left to the caller.
+    consumes.  One matrix goes through Householder QR, LAPACK's dgeqrf and
+    dorgqr on the Fortran-ordered view U[:, :, 0].T with the queried
+    workspace, as `np.linalg.qr` calls them; a batch goes through CGS2,
+    which is faster there.  Column signs are left to the caller.
     """
     if U.shape[2] == 1:
-        return np.ascontiguousarray(np.linalg.qr(U[:, :, 0].T)[0].T)[:, :, None]
+        A = U[:, :, 0].T
+        # The workspace sets the block size above N = 128, so query it as numpy does.
+        lwork = int(lapack.dgeqrf_lwork(*A.shape)[0])
+        qr, tau, _, info = lapack.dgeqrf(A, lwork=lwork, overwrite_a=True)
+        Q, _, info_q = lapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=True)
+        if info or info_q:
+            raise RuntimeError(f"Householder QR failed: LAPACK info {info}, {info_q}")
+        return Q.T[:, :, None]
     _cgs2(U)
     return U
 

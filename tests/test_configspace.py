@@ -167,6 +167,15 @@ def test_negative_coefficient_rejected():
         cs.assemble_generator(sp, C)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_nonfinite_coefficient_rejected(bad):
+    sp = cs.enumerate_space(5, 2)
+    C = random_coeffs(5, 4)
+    C[1, 3] = C[3, 1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        cs.assemble_generator(sp, C)
+
+
 def test_matchings_counts():
     assert len(cs.matchings(4)) == 3
     assert len(cs.matchings(6)) == 15
@@ -577,24 +586,80 @@ def test_generator_matches_jump_reference():
             assert mat.indices.dtype == ref_csr.indices.dtype
 
 
-def test_stencil_entry_order():
-    # Moves, then exchanges; within each, label pairs in combinations order,
-    # then rows, then targets, ascending.  Each diagonal sums its row's entries
-    # in this order, so the order fixes how it rounds.
+def test_stencil_slot_layout():
+    # One row per stored slot in canonical CSR order, diagonals included.  The
+    # off-diagonal slots carry the site and the fraction num / den of the
+    # documented weights (exchanges signed for the full generator), so that
+    # c * num / den equals the jump reference exactly; the diagonal slots read
+    # the trailing zero appended to C, with num 0 and den 1.
     for N, n in REFERENCE_SPACES:
         sp = cs.enumerate_space(N, n)
+        C = random_coeffs(N, 5 + N + n)
+        cs.assemble_generator(sp, C)
         st, X = sp._stencil, sp.configs
-        col = st.indices[st.slot]
-        moved = X[st.row] != X[col]
+        rows = np.repeat(np.arange(sp.size), np.diff(st.indptr))
+        assert np.all(np.diff(rows * sp.size + st.indices) > 0), (N, n)
+        assert np.array_equal(st.indices[st.diag], np.arange(sp.size)), (N, n)
+        assert np.array_equal(rows[st.diag], np.arange(sp.size)), (N, n)
+        off = np.ones(st.site.size, dtype=bool)
+        off[st.diag] = False
+        assert np.all(st.site[st.diag] == N * N), (N, n)
+        assert np.all(st.num[st.diag] == 0.0) and np.all(st.den[st.diag] == 1.0), (N, n)
+        r, c = rows[off], st.indices[off]
+        moved = X[r] != X[c]
         assert np.all(moved.sum(axis=1) == 2), (N, n)
         a = np.argmax(moved, axis=1)
         b = n - 1 - np.argmax(moved[:, ::-1], axis=1)
-        pair = a * n - a * (a + 1) // 2 + b - a - 1  # rank in combinations order
-        exchange = np.arange(st.row.size) >= st.moves
-        assert np.array_equal(exchange, X[st.row, a] != X[st.row, b]), (N, n)
-        order = np.lexsort((col, st.row, pair, exchange))
-        assert np.array_equal(order, np.arange(st.row.size)), (N, n)
-        assert np.array_equal(st.indices[st.diag], np.arange(sp.size)), (N, n)
+        assert np.array_equal(st.move[off], X[r, a] == X[r, b]), (N, n)
+        assert not np.any(st.move[st.diag]), (N, n)
+        i, j = X[r, a], X[c, a]  # a move's source and target; an exchange's two sites
+        assert np.array_equal(st.site[off] // N, np.where(st.move[off], i, np.minimum(i, j)))
+        assert np.array_equal(st.site[off] % N, np.where(st.move[off], j, np.maximum(i, j)))
+        move, swap = reference_parts(sp, C)
+        full = {**move, **{key: -v for key, v in swap.items()}}
+        vals = np.take(C, st.site[off]) * st.num[off] / st.den[off]
+        assert dict(zip(zip(r.tolist(), c.tolist()), vals.tolist())) == full, (N, n)
+
+
+def test_full_generator_with_positive_coefficients_stores_whole_pattern():
+    # Nothing is zero to prune, so the stored pattern is the stencil's.
+    for N, n in REFERENCE_SPACES:
+        if N < 2:
+            continue  # C has no off-diagonal entry and the generator is zero
+        sp = cs.enumerate_space(N, n)
+        mat = cs.assemble_generator(sp, random_coeffs(N, 9 + N + n)).mat
+        assert np.all(mat.data != 0), (N, n)
+        assert np.array_equal(mat.indices, sp._stencil.indices), (N, n)
+        assert np.array_equal(mat.indptr, sp._stencil.indptr), (N, n)
+
+
+def test_exchange_only_generator_stores_no_negative_zero():
+    # The exchange part negates its zeroed move slots to -0.0, which must be
+    # pruned like +0.0: what is stored is every exchange and the diagonal of
+    # every row that has one (none on Lambda^2_5).
+    for N, n in ((5, 2), (5, 4), (27, 4), (4, 6)):
+        sp = cs.enumerate_space(N, n)
+        mat = cs.assemble_generator(sp, random_coeffs(N, 3 + N), part="exchange-only").mat
+        st = sp._stencil
+        exchange = ~st.move
+        exchange[st.diag] = False
+        rows = np.repeat(np.arange(sp.size), np.diff(st.indptr))
+        assert mat.nnz == exchange.sum() + np.unique(rows[exchange]).size, (N, n)
+        assert np.all(mat.data != 0), (N, n)
+        rows = np.repeat(np.arange(sp.size), np.diff(mat.indptr))
+        assert np.all((mat.data > 0) == (rows != mat.indices)), (N, n)
+
+
+def test_stencil_memory_per_slot():
+    # Per stored slot: site as intp, num and den as float64, the move mask and
+    # the int32 column, 29 bytes; indptr and diag add one entry per row each.
+    sp = cs.enumerate_space(27, 4)
+    cs.assemble_generator(sp, random_coeffs(27, 2))
+    st = sp._stencil
+    slots = st.indices.size
+    arrays = [getattr(st, name) for name in st.__dataclass_fields__]
+    assert sum(a.nbytes for a in arrays if a.size == slots) <= 29 * slots
+    assert sum(a.nbytes for a in arrays if a.size != slots) <= 2 * 8 * (sp.size + 1)
 
 
 @pytest.mark.parametrize("x", [(1, 1, 3, 3), (1, 3, 1, 3)])

@@ -64,6 +64,38 @@ def test_see_step_single_path_matches_batch():
         assert np.max(np.abs(U1 - U2[:, :, 1:])) <= 1e-14
 
 
+def test_orthonormalize_single_path_matches_numpy_qr():
+    # dgeqrf and dorgqr with the queried workspace give np.linalg.qr's Q bit
+    # for bit; above N = 128 the workspace sets the block size.
+    rng = stream(42)
+    for N in (5, 8, 27, 60, 130):
+        for _ in range(20 if N <= 60 else 2):
+            Q0 = np.linalg.qr(rng.standard_normal((N, N)))[0]
+            M = Q0 + 1e-3 * rng.standard_normal((N, N))
+            U = np.ascontiguousarray(M.T)[:, :, None]
+            assert np.array_equal(flow._orthonormalize(U)[:, :, 0], np.linalg.qr(M)[0].T), N
+
+
+def test_refined_endpoint_paths_match_numpy_qr(monkeypatch, caplog):
+    # At the endpoint-law parameters 191 path-steps refine, each through the
+    # single-path branch; the ensemble is bit-identical to one whose branch
+    # calls np.linalg.qr.
+    args = (np.linspace(-1.0, 1.0, 8), np.eye(8), 0.02, 5e-4, 2000, 9)
+    with caplog.at_level("WARNING", logger="momentflow.flow"):
+        lam, U = flow.see_endpoint_ensemble(*args)
+    assert "refined 191 of 80000 path-steps" in caplog.text
+    batch = flow._orthonormalize
+
+    def numpy_qr(V):
+        if V.shape[2] > 1:
+            return batch(V)
+        return np.ascontiguousarray(np.linalg.qr(V[:, :, 0].T)[0].T)[:, :, None]
+
+    monkeypatch.setattr(flow, "_orthonormalize", numpy_qr)
+    ref_lam, ref_U = flow.see_endpoint_ensemble(*args)
+    assert np.array_equal(lam, ref_lam) and np.array_equal(U, ref_U)
+
+
 def test_symmetric_noise_path_last_matches_leading_formula():
     b, N = 7, 5
     G = stream(35).standard_normal((b, N, N))
