@@ -350,10 +350,13 @@ def _build_stencil(space):
     idx = np.int32 if row.size <= np.iinfo(np.int32).max else np.int64
     perm = np.argsort(row * size + col, kind="stable")
     # Row r holds its diagonal, an exchange per untied pair, N - 1 moves per tied one.
-    indptr = np.concatenate([[0], np.cumsum(1 + a.size + (N - 2) * tied.sum(axis=1))])
+    indptr = np.concatenate([[0], np.cumsum(1 + a.size + (N - 2) * tied.sum(axis=1))]).astype(idx)
+    indices = col[perm].astype(idx)
+    # Every generator without a stored zero shares these as its pattern.
+    indptr.flags.writeable = indices.flags.writeable = False
     return _Stencil(site=site[perm].astype(np.intp, copy=False), num=num[perm],
                     den=den[perm], move=perm < moves,
-                    indptr=indptr.astype(idx), indices=col[perm].astype(idx),
+                    indptr=indptr, indices=indices,
                     diag=np.flatnonzero(perm >= row.size - size))
 
 
@@ -398,11 +401,14 @@ def assemble_generator(space, coeffs, part="full"):
         data[st.move] = 0.0
         np.negative(data, out=data)
     data[st.diag] = -np.add.reduceat(data, st.indptr[:-1])
-    # eliminate_zeros rewrites the index arrays in place, so each matrix gets
-    # its own copy of the pattern.
-    mat = sp.csr_matrix((data, st.indices.copy(), st.indptr.copy()),
-                        shape=(space.size, space.size))
-    if not data.all():  # a zero, +0.0 or -0.0, is stored
+    # Every matrix shares the stencil's read-only pattern, except one with a
+    # stored zero (+0.0 or -0.0): eliminate_zeros rewrites the index arrays in
+    # place, so that one prunes its own copy.
+    shape = (space.size, space.size)
+    if data.all():
+        mat = sp.csr_matrix((data, st.indices, st.indptr), shape=shape)
+    else:
+        mat = sp.csr_matrix((data, st.indices.copy(), st.indptr.copy()), shape=shape)
         mat.eliminate_zeros()
     return WeightedOperator(space, mat, is_pi_self_adjoint=True)
 

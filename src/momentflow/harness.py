@@ -357,10 +357,17 @@ def _stack_expectations(space, partitions):
 
 
 def _commutation_defect(B, stacked):
-    """max |B E_P - E_P B| over the stacked E_P, with every commutator formed
-    in one sparse product: kron(I, B) stacked - stacked B."""
-    blocks = sparse.identity(stacked.shape[0] // B.shape[0], format="csr")
-    comm = sparse.kron(blocks, B, format="csr") @ stacked - stacked @ B
+    """max |B E_P - E_P B| over the stacked E_P for a CSR B, with every
+    commutator formed in one sparse product: kron(I, B) stacked - stacked B.
+    kron(I, B) is built straight from B's arrays, block k shifting the
+    column indices by k * size and the row pointers by k * nnz."""
+    size, nnz = B.shape[0], B.nnz
+    k = np.arange(stacked.shape[0] // size)[:, None]
+    blocks = sparse.csr_matrix(
+        (np.tile(B.data, k.size), (B.indices + k * size).ravel(),
+         np.append((B.indptr[:-1] + k * nnz).ravel(), k.size * nnz)),
+        shape=(stacked.shape[0], stacked.shape[0]))
+    comm = blocks @ stacked - stacked @ B
     return float(np.max(np.abs(comm.data), initial=0.0))
 
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .configspace import (
     assemble_generator,
@@ -24,6 +25,8 @@ from .configspace import (
 
 DENSE_SOLVE_GUARD = 3000
 KERNEL_REL_TOL = 1e-10
+LANCZOS_TOL = 1e-13
+RITZ_ROUNDING = 1e-12
 
 
 @dataclass
@@ -105,16 +108,80 @@ def _symmetrized_eig(space, op):
     return w, Q, np.sqrt(space.pi)
 
 
-def _eig_apply(eig, F, s):
-    """e^{sA} F = Pi^{-1/2} Q e^{s w} Q^T Pi^{1/2} F for eig = (w, Q, half).
+def _lanczos_steps(rho_tau):
+    """Least m at which Hochbruck and Lubich's a-priori bound (SIAM J. Numer.
+    Anal. 34, 1997, Thm. 2) on the Lanczos error of e^{tau A} v, for symmetric
+    A with spectrum in [-4 rho, 0] and |v| = 1, is at most LANCZOS_TOL:
 
-    F is a vector, or a matrix whose columns are each applied; results come
-    back as rows, so a matrix gives (e^{sA} F)^T.  For a vector, s may be an
-    array of times, one row each.
+        10 exp(-m^2 / (5 rho tau))                        sqrt(4 rho tau) <= m <= 2 rho tau
+        10 / (rho tau) exp(-rho tau) (e rho tau / m)^m    m >= 2 rho tau
     """
-    w, Q, half = eig
-    g = (F.T * half) @ Q
-    return (np.exp(np.multiply.outer(s, w)) * g) @ Q.T / half
+    if rho_tau == 0.0:
+        return 1
+    m = math.ceil(math.sqrt(5.0 * rho_tau * math.log(10.0 / LANCZOS_TOL)))
+    if m <= 2.0 * rho_tau:
+        return m
+    # The second bound falls with m beyond m = rho tau, so search upwards.
+    m = max(1, math.ceil(2.0 * rho_tau))
+    while (math.log(10.0 / rho_tau) - rho_tau + m * (1.0 + math.log(rho_tau / m))
+           > math.log(LANCZOS_TOL)):
+        m += 1
+    return m
+
+
+def _lanczos_apply(space, op, f, times):
+    """e^{sB} f for every s in `times` (one row each), from one Lanczos basis.
+
+    Lanczos with full reorthogonalization runs on the symmetric
+    S = Pi^{1/2} B Pi^{-1/2}, applied as half * (B @ (v / half)) with no
+    symmetrized matrix built, from v_1 = Pi^{1/2} f / ||f||_pi.  Every
+    snapshot comes from the same tridiagonal T_m through eigh_tridiagonal.
+    The step count m is the a-priori bound of _lanczos_steps for the
+    spectrum in [-||B||_inf, 0] at the largest time tau (the bound grows with
+    time), capped at the space size, where the basis is complete.  So every
+    snapshot is certified to ||error||_pi <= LANCZOS_TOL ||f||_pi.
+
+    Lanczos stops early once tau beta_k <= LANCZOS_TOL: with T_k <= 0 the
+    neglected coupling moves no snapshot by more than tau beta_k ||f||_pi,
+    and beta_k = 0 is an exactly invariant subspace.  It raises on a Ritz
+    value above rounding, which breaks the spectrum assumption, and when
+    Saad's a-posteriori estimate s beta_m |e_m^T e^{s T_m} e_1| exceeds
+    LANCZOS_TOL at any snapshot time s.
+    """
+    times = np.asarray(times, dtype=float)
+    half = np.sqrt(space.pi)
+    g = half * f
+    f_norm = math.sqrt(g @ g)
+    if f_norm == 0.0:
+        return np.zeros((times.size, space.size))
+    tau = float(np.max(times, initial=0.0))
+    norm_inf = _inf_norm(op)
+    m = min(_lanczos_steps(0.25 * tau * norm_inf), space.size)
+    V = np.empty((m + 1, space.size))
+    alpha, beta = np.empty(m), np.empty(m)
+    V[0] = g / f_norm
+    for k in range(m):
+        w = half * (op.mat @ (V[k] / half))
+        # Classical Gram-Schmidt against the whole basis, twice: the first
+        # pass gives alpha_k, the second restores orthogonality.
+        h = V[:k + 1] @ w
+        w -= h @ V[:k + 1]
+        w -= (V[:k + 1] @ w) @ V[:k + 1]
+        alpha[k] = h[k]
+        beta[k] = math.sqrt(w @ w)
+        if tau * beta[k] <= LANCZOS_TOL:
+            m = k + 1
+            break
+        V[k + 1] = w / beta[k]
+    ritz, Q = eigh_tridiagonal(alpha[:m], beta[:m - 1])
+    if ritz[-1] > RITZ_ROUNDING * norm_inf:
+        raise RuntimeError(f"Lanczos Ritz value {ritz[-1]:.3g} > 0: B is not negative semidefinite")
+    coef = (np.exp(np.multiply.outer(times, ritz)) * Q[0]) @ Q.T
+    estimate = float(np.max(times * beta[m - 1] * np.abs(coef[:, m - 1])))
+    if estimate > LANCZOS_TOL:
+        raise RuntimeError(
+            f"Lanczos a-posteriori error estimate {estimate:.3g} > {LANCZOS_TOL:g} after {m} steps")
+    return f_norm * (coef @ V[:m]) / half
 
 
 def operator_norm_11(space, mat):
@@ -140,9 +207,13 @@ class PropagationResult:
 def propagate(space, schedule, f0, s1, s2, steps=64):
     """Solve d/ds f = B(s) f from s1 to s2 with `steps` snapshots.
 
-    Time-constant schedules apply e^{(s - s1) B} exactly in the eigenbasis of
-    the pi-symmetrized generator.  Time-varying ones march one classical RK4
-    that reassembles the generator at each stage time.  The step count must
+    Time-constant schedules apply e^{(s - s1) B} to f0 from one Lanczos basis
+    of the pi-symmetrized generator for all snapshots, with B never made
+    dense.  The Lanczos step count is Hochbruck and Lubich's a-priori bound for
+    (s2 - s1) ||B||_inf, so each snapshot is within LANCZOS_TOL ||f0||_pi of
+    the exact one in the pi-norm, and an a-posteriori estimate checks it
+    (_lanczos_apply).  Time-varying ones march one classical RK4
+    that reassembles the generator at each stage time; there `steps` must
     satisfy the stability rule steps >= 4 (s2 - s1) ||B||_inf: it is checked
     at s1 and s2 before the march, and 4 h ||B||_inf <= 1 is checked on every
     stage matrix during it.
@@ -157,7 +228,7 @@ def propagate(space, schedule, f0, s1, s2, steps=64):
     snaps[0] = f0
     if not schedule.time_dependent:
         op = assemble_generator(space, schedule.coefficients(s1))
-        snaps[1:] = _eig_apply(_symmetrized_eig(space, op), f0, times[1:] - s1)
+        snaps[1:] = _lanczos_apply(space, op, f0, times[1:] - s1)
         return PropagationResult(space, times, snaps)
 
     required = _stable_steps(space, schedule, s1, s2)
@@ -377,7 +448,8 @@ def l1_growth(space, schedule, s_grid):
         w, Q, half = _symmetrized_eig(space, assemble_generator(space, schedule.coefficients(0.0)))
         g = half[:, None] * Q
         for k, s in enumerate(s_grid):
-            # (e^{sB})^T in _eig_apply's operation order, so the values match it bit for bit.
+            # (e^{sB})^T in the operation order of the tests' dense eig_apply oracle,
+            # so the values match it bit for bit.
             out[k] = operator_norm_11(space, ((np.exp(s * w) * g) @ Q.T / half).T)
         return list(zip(s_grid.tolist(), out.tolist()))
     # Time-varying: march the full matrix between grid points.

@@ -709,6 +709,23 @@ def test_assembly_leaves_cached_pattern_intact():
         assert not np.shares_memory(a, b)
 
 
+def test_assembly_shares_read_only_pattern():
+    # A generator with nothing to prune stores views of the stencil's pattern;
+    # a write through one raises instead of corrupting the next assembly.
+    sp = cs.enumerate_space(6, 4)
+    C = random_coeffs(6, 22)
+    first = cs.assemble_generator(sp, C).mat
+    assert np.shares_memory(first.indices, sp._stencil.indices)
+    assert np.shares_memory(first.indptr, sp._stencil.indptr)
+    for arr in (first.indices, first.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    again = cs.assemble_generator(sp, C).mat
+    fresh = cs.assemble_generator(cs.enumerate_space(6, 4), C).mat
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(again, name), getattr(fresh, name)), name
+
+
 def eigenvector_moment_flow(N, half, C):
     """Bourgade-Yau generator on occupancies eta (sum eta = half), assembled
     on its own: eta -> eta^{i->j} at rate c_ij 2 eta_i (1 + 2 eta_j)."""

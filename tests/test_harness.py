@@ -68,8 +68,9 @@ def test_sparse_operator_checks_match_dense_loop(N):
     expectations = [cs.conditional_expectation(sp, P).dense() for P in partitions]
     for i in range(N):
         for j in range(i + 1, N):
-            Bij = cs.pair_generator(sp, i, j).dense()
-            dense_defect = max(float(np.max(np.abs(Bij @ EP - EP @ Bij)))
+            Bij = cs.pair_generator(sp, i, j).mat
+            dense = Bij.toarray()
+            dense_defect = max(float(np.max(np.abs(dense @ EP - EP @ dense)))
                                for EP in expectations)
             defect = harness._commutation_defect(Bij, stacked)
             assert abs(defect - dense_defect) <= 1e-15

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from momentflow import configspace as cs
 from momentflow import relaxation as rx
@@ -28,6 +28,19 @@ def dense_uc_norm(space, eig, K, s):
     w, Q, half = eig
     A = ((np.eye(space.size) - K) @ (Q / half[:, None])) * np.exp(s * w) @ (Q.T * half)
     return operator_norm_2inf(space, A)
+
+
+def eig_apply(eig, F, s):
+    """e^{sA} F = Pi^{-1/2} Q e^{s w} Q^T Pi^{1/2} F for eig = (w, Q, half),
+    the dense oracle for the Lanczos propagator.
+
+    F is a vector, or a matrix whose columns are each applied; results come
+    back as rows, so a matrix gives (e^{sA} F)^T.  For a vector, s may be an
+    array of times, one row each.
+    """
+    w, Q, half = eig
+    g = (F.T * half) @ Q
+    return (np.exp(np.multiply.outer(s, w)) * g) @ Q.T / half
 
 
 def random_schedule(N, seed, upsilon=None):
@@ -84,6 +97,87 @@ def test_propagate_constant_matches_expm(N, n):
     for s, f in zip(res.times, res.snapshots):
         exact = expm((s - 0.1) * B) @ f0
         assert np.max(np.abs(f - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("N, n", [(6, 4), (10, 2), (8, 4)])
+@pytest.mark.parametrize("scaled_time", [0.25, 2, 8, 32, 128])
+def test_lanczos_apply_matches_eig_oracle(N, n, scaled_time):
+    # One basis serves several snapshot times, up to tau = scaled_time / ||B||_inf,
+    # each within the certified LANCZOS_TOL ||f||_pi of the dense oracle.
+    sp = cs.enumerate_space(N, n)
+    op = cs.assemble_generator(sp, random_schedule(N, (21, N, n)).coefficients())
+    eig = rx._symmetrized_eig(sp, op)
+    times = scaled_time / rx._inf_norm(op) * np.array([0.0, 0.01, 0.3, 0.75, 1.0])
+    rng = stream(22, N, n)
+    for f in (rng.standard_normal(sp.size), sp.delta(sp.configs[int(rng.integers(sp.size))])):
+        got = rx._lanczos_apply(sp, op, f, times)
+        want = eig_apply(eig, f, times)
+        assert max(sp.norm_l2(g - w) for g, w in zip(got, want)) <= rx.LANCZOS_TOL * sp.norm_l2(f)
+
+
+def test_lanczos_steps_meet_the_a_priori_bound():
+    # Hochbruck-Lubich's bound at the returned m is <= LANCZOS_TOL and at m - 1
+    # above it; rho tau = 8 (s ||B||_inf = 32) needs 39 steps.
+    def bound(m, x):
+        if math.sqrt(4 * x) <= m <= 2 * x:
+            return 10 * math.exp(-m * m / (5 * x))
+        if m >= 2 * x:
+            return 10 / x * math.exp(-x) * (math.e * x / m) ** m
+        return math.inf
+    for x in (1e-3, 0.0625, 0.5, 2.0, 8.0, 32.0, 100.0):
+        m = rx._lanczos_steps(x)
+        assert bound(m, x) <= rx.LANCZOS_TOL < bound(m - 1, x), x
+    assert rx._lanczos_steps(8.0) == 39
+    assert rx._lanczos_steps(0.0) == 1
+
+
+def test_lanczos_apply_zero_and_kernel_data(monkeypatch):
+    sp = cs.enumerate_space(6, 4)
+    op = cs.assemble_generator(sp, random_schedule(6, 23).coefficients())
+    times = np.array([0.1, 0.5, 2.0])
+    assert np.array_equal(rx._lanczos_apply(sp, op, np.zeros(sp.size), times),
+                          np.zeros((3, sp.size)))
+    # chi_sigma spans an invariant subspace (B chi = 0): Lanczos stops after
+    # one step and every snapshot is chi_sigma.
+    sizes = []
+
+    def spy(d, e):
+        sizes.append(len(d))
+        return eigh_tridiagonal(d, e)
+
+    monkeypatch.setattr(rx, "eigh_tridiagonal", spy)
+    chi = cs.chi_matrix(sp)[:, 1]
+    got = rx._lanczos_apply(sp, op, chi, times)
+    assert sizes == [1]
+    assert np.max(np.abs(got - chi)) <= 1e-14
+
+
+def test_lanczos_apply_checks(monkeypatch):
+    sp = cs.enumerate_space(6, 4)
+    op = cs.assemble_generator(sp, random_schedule(6, 24).coefficients())
+    f = stream(25).standard_normal(sp.size)
+    times = np.array([0.5, 1.0])
+    # -B breaks the spectrum assumption: its Ritz values are positive.
+    with pytest.raises(RuntimeError, match="Ritz value"):
+        rx._lanczos_apply(sp, cs.WeightedOperator(sp, -op.mat, is_pi_self_adjoint=True), f, times)
+    # Too few steps for the time span: the a-posteriori estimate refuses it.
+    monkeypatch.setattr(rx, "_lanczos_steps", lambda rho_tau: 3)
+    with pytest.raises(RuntimeError, match="a-posteriori"):
+        rx._lanczos_apply(sp, op, f, times)
+
+
+def test_propagate_constant_never_densifies(monkeypatch):
+    # Lambda^4_27 (2133 configurations): the constant branch runs on the CSR
+    # generator alone and conserves the pi-mass sum pi f, since B 1 = 0.
+    sp = cs.enumerate_space(27, 4)
+    sched = random_schedule(27, 26)
+    monkeypatch.setattr(cs.WeightedOperator, "dense",
+                        lambda self: pytest.fail("constant propagate densified B"))
+    f0 = sp.delta(sp.configs[100])
+    res = rx.propagate(sp, sched, f0, 0.0, 0.05, steps=3)
+    mass = res.snapshots @ sp.pi
+    assert np.max(np.abs(mass - mass[0])) <= 1e-12
+    assert sp.norm_l1(res.final) <= len(cs.matchings(4)) + 1e-9
 
 
 def test_propagate_time_dependent_matches_constant():
@@ -365,13 +459,13 @@ def test_l1_growth_rejects_unordered_or_negative_grid(time_dependent, grid):
 
 @pytest.mark.parametrize("N", [6, 8, 10])
 def test_l1_growth_constant_matches_two_product_formula(N):
-    # The reference forms (e^{sB})^T through _eig_apply on the identity.
+    # The reference forms (e^{sB})^T through eig_apply on the identity.
     sp = cs.enumerate_space(N, 4)
     sched = rx.CoefficientSchedule.inverse_square(N, 1.0)
     eig = rx._symmetrized_eig(sp, cs.assemble_generator(sp, sched.coefficients()))
     grid = [0.0, 0.05, 0.2, 0.6, 1.0, 3.0]
     eye = np.eye(sp.size)
-    want = [(s, rx.operator_norm_11(sp, rx._eig_apply(eig, eye, s).T)) for s in grid]
+    want = [(s, rx.operator_norm_11(sp, eig_apply(eig, eye, s).T)) for s in grid]
     assert np.array_equal(rx.l1_growth(sp, sched, grid), want)
 
 
