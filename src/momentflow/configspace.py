@@ -281,24 +281,24 @@ class WeightedOperator:
 
 @dataclass(frozen=True)
 class _Stencil:
-    """The generator B(C) on one space as one row per stored CSR slot, in the
+    """The generator B(C) on one space as one key per stored CSR slot, in the
     canonical order of the pattern (indptr, indices), diagonal slots included.
 
-    Slot k holds c_ij * num[k] / den[k], where site[k] = i * N + j indexes C
-    raveled with a trailing 0.0; move[k] marks the moves.  A move is stored
-    once for both orderings of its label pair, with num / den =
-    2 (n_j+1) / (n_i-1); an exchange has num / den = -2 / 1, the sign of the
-    full generator.  Keeping the weight as a fraction makes c_ij * num / den
-    round exactly as the per-ordering sum 2 * (c_ij (n_j+1) / (n_i-1)) does,
-    and c * (-2) / 1 as -(c * 2 / 1).  Row r's diagonal is slot diag[r]; its
-    site is the trailing zero, with num 0 and den 1, so it holds 0.0 until
-    the row is summed.
+    Slot k holds entry key[k] = w (N^2 + 1) + i N + j of the table whose row
+    w, one per weight class the space holds, is C raveled with a trailing 0.0,
+    times num[w], divided by den[w].  A move class, by the occupancies
+    (n_i, n_j) it jumps between, in ascending n_i (n+1) + n_j, is stored once
+    for both orderings of its label pair, with num / den = 2 (n_j+1) / (n_i-1);
+    the exchange class, last, has -2 / 1, the sign of the full generator.
+    Keeping the weight as a fraction makes c_ij * num / den round exactly as
+    the per-ordering sum 2 * (c_ij (n_j+1) / (n_i-1)) does, and c * (-2) / 1
+    as -(c * 2 / 1).  Row r's diagonal is slot diag[r]; it reads the trailing
+    zero of the (n, 0) row, held when N > 1, so it is +0.0 until summed.
     """
 
-    site: np.ndarray
+    key: np.ndarray
     num: np.ndarray
     den: np.ndarray
-    move: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     diag: np.ndarray
@@ -322,31 +322,36 @@ def _build_stencil(space):
     # Move: labels a and b share site i and relocate together to j != i.
     p, r = np.nonzero(tied.T)  # pair by pair, rows ascending
     i = X[r, a[p]]
-    key = p * (N * radix[0]) + codes[r] - i * (radix[a] + radix[b])[p]
-    order = np.argsort(key, kind="stable")
+    group = p * (N * radix[0]) + codes[r] - i * (radix[a] + radix[b])[p]
+    order = np.argsort(group, kind="stable")
     if not (np.array_equal(i[order], np.tile(sites, r.size // N))
-            and np.array_equal(key[order], np.repeat(key[order][::N], N))):
+            and np.array_equal(group[order], np.repeat(group[order][::N], N))):
         raise AssertionError("a move target is missing from the enumeration")
     cls = np.empty_like(order)
     cls[order] = np.arange(r.size) // N
     keep = sites != i[:, None]
+    code = occ[r] + (occ[r, i] * (n + 1))[:, None]  # move class n_i (n+1) + n_j
+    code[np.arange(r.size), i] = n * (n + 1)  # j = i, dropped below: (n, 0)
+    held = np.bincount(code.ravel(), minlength=(n + 1) ** 2) > 0
+    row_of = (np.cumsum(held) - 1) * (N * N + 1)  # a class's offset in the table
     move = (np.repeat(r, N - 1), r[order].reshape(-1, N)[cls][keep],
-            (i[:, None] * N + sites)[keep], (2.0 * (occ + 1.0))[r][keep],
-            np.repeat(occ[r, i] - 1.0, N - 1))
+            (row_of[code] + (i[:, None] * N + sites))[keep])
     # Exchange: labels a and b on different sites trade places.
     p, r = np.nonzero(~tied.T)
     xa, xb = X[r, a[p]], X[r, b[p]]
     swap = (r, space._locate(codes[r] + (xb - xa) * (radix[a] - radix[b])[p]),
-            np.minimum(xa, xb) * N + np.maximum(xa, xb), np.full(r.size, -2.0), np.ones(r.size))
-    # Diagonal: row r's slot reads the trailing zero of C, so it holds 0.0.
+            np.count_nonzero(held) * (N * N + 1) + np.minimum(xa, xb) * N + np.maximum(xa, xb))
     rows = np.arange(size)
-    diag = (rows, rows, np.full(size, N * N), np.zeros(size), np.ones(size))
-    row, col, site, num, den = (np.concatenate(parts) for parts in zip(move, swap, diag))
-    moves = move[0].size
+    diag = (rows, rows, np.full(size, row_of[n * (n + 1)] + N * N))
+    row, col, key = (np.concatenate(parts) for parts in zip(move, swap, diag))
     del move, swap, diag  # copied into the arrays above; freed before the pattern is built
+    n_i, n_j = np.divmod(np.flatnonzero(held), n + 1)
+    num, den = 2.0 * (n_j + 1.0), n_i - 1.0
+    if r.size:  # the exchange class
+        num, den = np.append(num, -2.0), np.append(den, 1.0)
     # Each pair's moves and exchanges, and the diagonal, ascend in (row, col),
-    # so the stable sort merges sorted runs.  Index dtype as scipy's; site
-    # stays intp, which np.take reads without a converted copy.
+    # so the stable sort merges sorted runs.  Index dtype as scipy's; key
+    # stays intp, which `take` reads without a converted copy.
     idx = np.int32 if row.size <= np.iinfo(np.int32).max else np.int64
     perm = np.argsort(row * size + col, kind="stable")
     # Row r holds its diagonal, an exchange per untied pair, N - 1 moves per tied one.
@@ -354,10 +359,8 @@ def _build_stencil(space):
     indices = col[perm].astype(idx)
     # Every generator without a stored zero shares these as its pattern.
     indptr.flags.writeable = indices.flags.writeable = False
-    return _Stencil(site=site[perm].astype(np.intp, copy=False), num=num[perm],
-                    den=den[perm], move=perm < moves,
-                    indptr=indptr, indices=indices,
-                    diag=np.flatnonzero(perm >= row.size - size))
+    return _Stencil(key=key[perm].astype(np.intp, copy=False), num=num, den=den,
+                    indptr=indptr, indices=indices, diag=np.flatnonzero(perm >= row.size - size))
 
 
 def _validate_coeffs(space, coeffs):
@@ -384,22 +387,23 @@ def assemble_generator(space, coeffs, part="full"):
     All three have zero row sums and are self-adjoint for the measure pi.
 
     B(C) is linear in C on a sparsity pattern fixed by the space, so every
-    generator is CSR on the space's cached stencil: one gather-multiply of
-    c_ij into the stored slots in CSR order, then each diagonal is minus its
-    row's sum in column order, and zeros (+0.0 or -0.0) are dropped.
+    generator is CSR on the space's cached stencil: its slots, in CSR order,
+    are one gather from the small table of c_ij times each weight class, each
+    diagonal is minus its row's sum in column order, and zeros (+0.0 or -0.0)
+    are dropped; a part keeps its classes' rows of the table.
     """
     if part not in ("full", "move-only", "exchange-only"):
         raise ValueError(f"unknown part {part!r}")
     C = _validate_coeffs(space, coeffs)
     st = space._stencil
-    data = np.take(np.append(C.ravel(), 0.0), st.site)
-    data *= st.num
-    data /= st.den
+    T = st.num[:, None] * np.append(C.ravel(), 0.0)
+    T /= st.den[:, None]
     if part == "move-only":
-        data[~st.move] = 0.0
+        T[st.num < 0] = 0.0
     elif part == "exchange-only":
-        data[st.move] = 0.0
-        np.negative(data, out=data)
+        T[st.num > 0] = 0.0
+        np.negative(T, out=T)
+    data = T.take(st.key)
     data[st.diag] = -np.add.reduceat(data, st.indptr[:-1])
     # Every matrix shares the stencil's read-only pattern, except one with a
     # stored zero (+0.0 or -0.0): eliminate_zeros rewrites the index arrays in

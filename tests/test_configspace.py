@@ -586,39 +586,110 @@ def test_generator_matches_jump_reference():
             assert mat.indices.dtype == ref_csr.indices.dtype
 
 
+def per_slot_layout(space):
+    """Row, move flag, site in C raveled with a trailing zero, and weight
+    num / den of every slot in the stencil's pattern, derived from the two
+    configurations the slot joins; a diagonal slot reads the trailing zero
+    with weight 0 / 1."""
+    st, X, N = space._stencil, space.configs, space.N
+    rows = np.repeat(np.arange(space.size), np.diff(st.indptr))
+    moved = X[rows] != X[st.indices]
+    a = np.argmax(moved, axis=1)
+    b = space.n - 1 - np.argmax(moved[:, ::-1], axis=1)
+    i, j = X[rows, a], X[st.indices, a]  # a move's source and target; an exchange's sites
+    move = (rows != st.indices) & (X[rows, a] == X[rows, b])
+    site = np.where(move, i * N + j, np.minimum(i, j) * N + np.maximum(i, j))
+    num = np.where(move, 2.0 * (space.occ[rows, j] + 1.0), -2.0)
+    den = np.where(move, space.occ[rows, i] - 1.0, 1.0)
+    site[st.diag], num[st.diag], den[st.diag] = N * N, 0.0, 1.0
+    return rows, move, site, num, den
+
+
 def test_stencil_slot_layout():
-    # One row per stored slot in canonical CSR order, diagonals included.  The
-    # off-diagonal slots carry the site and the fraction num / den of the
-    # documented weights (exchanges signed for the full generator), so that
-    # c * num / den equals the jump reference exactly; the diagonal slots read
-    # the trailing zero appended to C, with num 0 and den 1.
+    # One key per stored slot in canonical CSR order, diagonals included.  A
+    # key decodes into its weight class w, a row of the table, and its site in
+    # C raveled with a trailing zero.  A move class carries the fraction
+    # 2 (n_j+1) / (n_i-1) of the occupancies it jumps between, the exchange
+    # class -2 / 1 (signed for the full generator), so that c * num / den
+    # equals the jump reference exactly; every diagonal reads +0.0.
     for N, n in REFERENCE_SPACES:
         sp = cs.enumerate_space(N, n)
         C = random_coeffs(N, 5 + N + n)
         cs.assemble_generator(sp, C)
         st, X = sp._stencil, sp.configs
-        rows = np.repeat(np.arange(sp.size), np.diff(st.indptr))
+        rows, _, site, num, den = per_slot_layout(sp)
         assert np.all(np.diff(rows * sp.size + st.indices) > 0), (N, n)
         assert np.array_equal(st.indices[st.diag], np.arange(sp.size)), (N, n)
         assert np.array_equal(rows[st.diag], np.arange(sp.size)), (N, n)
-        off = np.ones(st.site.size, dtype=bool)
+        off = np.ones(st.key.size, dtype=bool)
         off[st.diag] = False
-        assert np.all(st.site[st.diag] == N * N), (N, n)
-        assert np.all(st.num[st.diag] == 0.0) and np.all(st.den[st.diag] == 1.0), (N, n)
-        r, c = rows[off], st.indices[off]
-        moved = X[r] != X[c]
-        assert np.all(moved.sum(axis=1) == 2), (N, n)
-        a = np.argmax(moved, axis=1)
-        b = n - 1 - np.argmax(moved[:, ::-1], axis=1)
-        assert np.array_equal(st.move[off], X[r, a] == X[r, b]), (N, n)
-        assert not np.any(st.move[st.diag]), (N, n)
-        i, j = X[r, a], X[c, a]  # a move's source and target; an exchange's two sites
-        assert np.array_equal(st.site[off] // N, np.where(st.move[off], i, np.minimum(i, j)))
-        assert np.array_equal(st.site[off] % N, np.where(st.move[off], j, np.maximum(i, j)))
+        assert np.all((X[rows[off]] != X[st.indices[off]]).sum(axis=1) == 2), (N, n)
+        w = st.key // (N * N + 1)
+        assert np.array_equal(st.key % (N * N + 1), site), (N, n)
+        assert np.array_equal(st.num[w][off], num[off]), (N, n)
+        assert np.array_equal(st.den[w][off], den[off]), (N, n)
+        # The table has a row for each class the space holds, and no other:
+        # the move classes in ascending n_i (n+1) + n_j, then the exchange.
+        assert np.array_equal(np.unique(w), np.arange(st.num.size)), (N, n)
+        moves = st.num > 0
+        assert np.all(moves[:-1]), (N, n)
+        assert np.all(np.diff((st.den[moves] + 1) * (n + 1) + st.num[moves] / 2 - 1) > 0)
+        table = st.num[:, None] * np.append(C.ravel(), 0.0) / st.den[:, None]
+        diag = table.ravel()[st.key[st.diag]]
+        assert np.all(diag == 0.0) and not np.any(np.signbit(diag)), (N, n)
         move, swap = reference_parts(sp, C)
         full = {**move, **{key: -v for key, v in swap.items()}}
-        vals = np.take(C, st.site[off]) * st.num[off] / st.den[off]
-        assert dict(zip(zip(r.tolist(), c.tolist()), vals.tolist())) == full, (N, n)
+        vals = table.ravel()[st.key[off]]
+        pairs = zip(rows[off].tolist(), st.indices[off].tolist())
+        assert dict(zip(pairs, vals.tolist())) == full, (N, n)
+
+
+def per_slot_data(space, C, part):
+    """The CSR data before pruning, by the per-slot gather-multiply that the
+    weight table replaced."""
+    st = space._stencil
+    _, move, site, num, den = per_slot_layout(space)
+    data = np.take(np.append(C.ravel(), 0.0), site)
+    data *= num
+    data /= den
+    if part == "move-only":
+        data[~move] = 0.0
+    elif part == "exchange-only":
+        data[move] = 0.0
+        np.negative(data, out=data)
+    data[st.diag] = -np.add.reduceat(data, st.indptr[:-1])
+    return data
+
+
+def test_weight_table_matches_per_slot_assembly(monkeypatch):
+    # Every slot's value is fl(fl(c * num) / den) on the same operands as the
+    # per-slot gather-multiply, so the CSR data before pruning (signed zeros
+    # included) and the stored matrix are bit-identical to it.
+    csr, seen = sparse.csr_matrix, []
+
+    def spy(arg, **kwargs):
+        seen.append(arg[0].copy())
+        return csr(arg, **kwargs)
+
+    monkeypatch.setattr(sparse, "csr_matrix", spy)
+    for N, n in REFERENCE_SPACES + [(7, 6), (3, 8)]:
+        sp = cs.enumerate_space(N, n)
+        pair = np.zeros((N, N))
+        pair[0, N - 1] = pair[N - 1, 0] = 0.0 if N == 1 else 0.7
+        for C in (random_coeffs(N, 31 + N + n), coeffs_with_zeros(N, 32 + N + n), pair):
+            for part in ("full", "move-only", "exchange-only"):
+                seen.clear()
+                mat = cs.assemble_generator(sp, C, part=part).mat
+                want = per_slot_data(sp, C, part)
+                st = sp._stencil
+                ref = csr((want.copy(), st.indices.copy(), st.indptr.copy()), shape=mat.shape)
+                ref.eliminate_zeros()
+                for got, exp in ((seen[0], want), (mat.data, ref.data)):
+                    assert np.array_equal(got, exp), (N, n, part)
+                    assert np.array_equal(np.signbit(got), np.signbit(exp)), (N, n, part)
+                for name in ("indices", "indptr"):
+                    got, exp = getattr(mat, name), getattr(ref, name)
+                    assert got.dtype == exp.dtype and np.array_equal(got, exp), (N, n, part)
 
 
 def test_full_generator_with_positive_coefficients_stores_whole_pattern():
@@ -641,8 +712,7 @@ def test_exchange_only_generator_stores_no_negative_zero():
         sp = cs.enumerate_space(N, n)
         mat = cs.assemble_generator(sp, random_coeffs(N, 3 + N), part="exchange-only").mat
         st = sp._stencil
-        exchange = ~st.move
-        exchange[st.diag] = False
+        exchange = st.num[st.key // (N * N + 1)] < 0
         rows = np.repeat(np.arange(sp.size), np.diff(st.indptr))
         assert mat.nnz == exchange.sum() + np.unique(rows[exchange]).size, (N, n)
         assert np.all(mat.data != 0), (N, n)
@@ -651,15 +721,16 @@ def test_exchange_only_generator_stores_no_negative_zero():
 
 
 def test_stencil_memory_per_slot():
-    # Per stored slot: site as intp, num and den as float64, the move mask and
-    # the int32 column, 29 bytes; indptr and diag add one entry per row each.
+    # Per stored slot: the key as intp and the int32 column, 12 bytes; indptr
+    # and diag add one entry per row each, num and den one per weight class.
     sp = cs.enumerate_space(27, 4)
     cs.assemble_generator(sp, random_coeffs(27, 2))
     st = sp._stencil
-    slots = st.indices.size
-    arrays = [getattr(st, name) for name in st.__dataclass_fields__]
-    assert sum(a.nbytes for a in arrays if a.size == slots) <= 29 * slots
-    assert sum(a.nbytes for a in arrays if a.size != slots) <= 2 * 8 * (sp.size + 1)
+    assert list(st.__dataclass_fields__) == ["key", "num", "den", "indptr", "indices", "diag"]
+    assert st.key.nbytes + st.indices.nbytes <= 12 * st.indices.size
+    assert st.indptr.nbytes + st.diag.nbytes <= 2 * 8 * (sp.size + 1)
+    # (2, 0), (2, 2) and (4, 0) moves, and the exchange.
+    assert st.num.size == st.den.size == 4
 
 
 @pytest.mark.parametrize("x", [(1, 1, 3, 3), (1, 3, 1, 3)])
