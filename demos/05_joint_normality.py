@@ -31,7 +31,7 @@ for name, vecs, x in [
                         t=0.0, trials=1200, seed=7)
     est, se = estimate_moment(req)
     cols = [vecs[:, a] for a in range(vecs.shape[1])]
-    target = gaussian_wick_moment(x, cols, N=N)
+    target = gaussian_wick_moment(x, cols)
     print(f"{name}: estimate {est:+.4f} +- {se:.4f}   Wick target {target:+.4f}")
 
 # The full suite (five orthonormal pairs, fourth moment, cross-index

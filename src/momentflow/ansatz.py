@@ -18,13 +18,11 @@ def _pair_representatives(sigma):
     return [(a, sigma[a]) for a in range(len(sigma)) if a < sigma[a]]
 
 
-def gaussian_wick_moment(x, V, N=None):
+def gaussian_wick_moment(x, V):
     """Identity-covariance Wick moment: sum over stabilizing matchings of the
     pair products <v_a, v_sigma(a)>, normalized by sqrt(pi(x))."""
     x = tuple(x)
     n = len(x)
-    if N is None:
-        N = max(x) + 1
     if len(V) != n:
         raise ValueError(f"need {n} test vectors, got {len(V)}")
     _check_unit(V, "test vectors")
@@ -34,7 +32,7 @@ def gaussian_wick_moment(x, V, N=None):
         for a, b in _pair_representatives(sigma):
             prod *= float(V[a] @ V[b])
         total += prod
-    return total / math.sqrt(pi_weight(x, N))
+    return total / math.sqrt(pi_weight(x, max(x) + 1))
 
 
 def _pair_covariance(profile, y, V, a, b, cache):

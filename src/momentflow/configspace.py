@@ -417,10 +417,10 @@ def assemble_generator(space, coeffs, part="full"):
     return WeightedOperator(space, mat, is_pi_self_adjoint=True)
 
 
-def pair_generator(space, i, j, part="full", c=1.0):
-    """Single-pair operator B_ij (or its move/exchange part) with coefficient c."""
+def pair_generator(space, i, j, part="full"):
+    """Single-pair operator B_ij (or its move/exchange part) with coefficient 1."""
     C = np.zeros((space.N, space.N))
-    C[i, j] = C[j, i] = c
+    C[i, j] = C[j, i] = 1.0
     return assemble_generator(space, C, part=part)
 
 

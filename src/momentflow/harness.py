@@ -587,7 +587,7 @@ def _ansatz_compare_experiment(cfg):
     rows = []
     worst = 0.0
     for x in map(tuple, space.configs.tolist()):
-        wick = ansatz_mod.gaussian_wick_moment(x, V, N=N)
+        wick = ansatz_mod.gaussian_wick_moment(x, V)
         F = ansatz_mod.ansatz_F(x, x, V, profile)
         worst = max(worst, abs(wick - F))
         rows.append((str(x), wick, F))
@@ -623,7 +623,7 @@ def _ansatz_compare_experiment(cfg):
         seed=cfg.seed + 12,
     )
     est, se = estimate_moment(req, threads=cfg.threads)
-    target = ansatz_mod.gaussian_wick_moment((i_bulk, i_bulk), [v, w], N=mcN)
+    target = ansatz_mod.gaussian_wick_moment((i_bulk, i_bulk), [v, w])
     _check(checks, "moment-vs-wick", est, target, 3.0 * max(se, 1e-12))
     return checks, tables
 
@@ -695,7 +695,7 @@ def emit_report(report, fmt="csv", out_dir="out"):
     return paths
 
 
-def main(argv=None):
+def main():
     parser = argparse.ArgumentParser(
         prog="momentflow",
         description="Verification experiments for the colored eigenvector moment flow.",
@@ -713,7 +713,7 @@ def main(argv=None):
         p.add_argument("--format", type=str, choices=("json", "csv"), default=None)
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads for trial loops")
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
 
     if args.config:
         cfg = ExperimentConfig.from_json(args.config)

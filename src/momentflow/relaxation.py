@@ -16,7 +16,6 @@ from scipy.linalg import eigh_tridiagonal
 from .configspace import (
     assemble_generator,
     config_distance,
-    kernel_projection,
     local_neighborhood,
     local_projection,
     pi_symmetrize,
@@ -33,10 +32,11 @@ RITZ_ROUNDING = 1e-12
 class CoefficientSchedule:
     """Symmetric nonnegative jump coefficients c_ij(s), possibly time varying.
 
-    upsilon declares the subquadratic decay rate c_ij >= upsilon / |i-j|^2;
-    inequalities that need it refuse to run when it is absent.  The caller
-    vouches for the declaration: only inverse_square meets it by
-    construction.
+    propagate steps either kind; the relaxation inequalities take time-constant
+    ones only.  upsilon declares the subquadratic decay rate
+    c_ij >= upsilon / |i-j|^2; inequalities that need it refuse to run when it
+    is absent.  The caller vouches for the declaration: only inverse_square
+    meets it by construction.
     """
 
     fn: object
@@ -48,12 +48,11 @@ class CoefficientSchedule:
     @classmethod
     def constant(cls, C, upsilon=None, tag="full"):
         C = np.asarray(C, dtype=float)
-        return cls(fn=lambda s: C, N=C.shape[0], upsilon=upsilon, tag=tag,
-                   time_dependent=False)
+        return cls(fn=lambda s: C, N=C.shape[0], upsilon=upsilon, tag=tag)
 
     @classmethod
-    def from_function(cls, fn, N, upsilon=None, tag="full"):
-        return cls(fn=fn, N=N, upsilon=upsilon, tag=tag, time_dependent=True)
+    def from_function(cls, fn, N, tag="full"):
+        return cls(fn=fn, N=N, tag=tag, time_dependent=True)
 
     @classmethod
     def inverse_square(cls, N, upsilon=1.0):
@@ -65,7 +64,7 @@ class CoefficientSchedule:
         return cls.constant(C, upsilon=upsilon, tag="inverse-square")
 
     @classmethod
-    def from_eigenvalues(cls, lams, upsilon=None, tag="dbm"):
+    def from_eigenvalues(cls, lams):
         """Spectral-flow coefficients c_ij = 1 / (2 N (lambda_i - lambda_j)^2).
 
         This is the weight that pairs the ordered-pair move/exchange operators
@@ -79,19 +78,23 @@ class CoefficientSchedule:
         gaps = lams[:, None] - lams[None, :]
         with np.errstate(divide="ignore"):
             C = 1.0 / np.where(gaps == 0, np.inf, 2.0 * N * gaps**2)
-        return cls.constant(C, upsilon=upsilon, tag=tag)
+        return cls.constant(C, tag="dbm")
 
     def coefficients(self, s=0.0):
         return np.asarray(self.fn(s), dtype=float)
 
     def short_range(self, ell, window):
         """Zero out pairs outside the window or farther than ell apart."""
-        mask = _range_mask(self.N, ell, window)
-        base = self.fn
-        fn = (lambda s: base(s) * mask)
-        return CoefficientSchedule(fn=fn, N=self.N, upsilon=None,
-                                   tag=f"short-range(ell={ell})",
-                                   time_dependent=self.time_dependent)
+        C = _constant(self, "short-range cutoff")
+        return CoefficientSchedule.constant(C * _range_mask(self.N, ell, window),
+                                            tag=f"short-range(ell={ell})")
+
+
+def _constant(schedule, what):
+    """The coefficients of a time-constant schedule; `what` names the caller."""
+    if schedule.time_dependent:
+        raise ValueError(f"{what} expects a time-constant schedule")
+    return schedule.coefficients()
 
 
 def _range_mask(N, ell, window):
@@ -219,8 +222,10 @@ def propagate(space, schedule, f0, s1, s2, steps=64):
     stage matrix during it.
     """
     f0 = np.asarray(f0, dtype=float)
-    if s2 < s1:
-        raise ValueError("s2 must be >= s1")
+    if not (math.isfinite(s1) and math.isfinite(s2) and s1 <= s2):
+        raise ValueError(f"s1 and s2 must be finite with s1 <= s2, got {s1}, {s2}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     if s2 == s1:
         return PropagationResult(space, np.array([s1]), f0[None, :].copy())
     times = np.linspace(s1, s2, steps + 1)
@@ -231,19 +236,14 @@ def propagate(space, schedule, f0, s1, s2, steps=64):
         snaps[1:] = _lanczos_apply(space, op, f0, times[1:] - s1)
         return PropagationResult(space, times, snaps)
 
-    required = _stable_steps(space, schedule, s1, s2)
+    norm_inf = max(_inf_norm(assemble_generator(space, schedule.coefficients(s)))
+                   for s in (s1, s2))
+    required = math.ceil((s2 - s1) * norm_inf * 4.0)
     if steps < required:
         raise ValueError(f"stability bound violated: need steps >= {required}, got {steps}")
     for k, f in enumerate(_rk4(space, schedule, f0, times), start=1):
         snaps[k] = f
     return PropagationResult(space, times, snaps)
-
-
-def _stable_steps(space, schedule, s1, s2):
-    """Least step count meeting steps >= 4 (s2 - s1) ||B(s)||_inf at s = s1, s2."""
-    norm_inf = max(_inf_norm(assemble_generator(space, schedule.coefficients(s)))
-                   for s in (s1, s2))
-    return math.ceil((s2 - s1) * norm_inf * 4.0)
 
 
 def _inf_norm(op):
@@ -265,8 +265,8 @@ def _stage(space, schedule, s, h):
 
 
 def _rk4(space, schedule, f, times):
-    """Yield the state after each classical RK4 step of d/ds f = B(s) f along
-    the equally spaced `times`; f is a vector or a matrix of columns."""
+    """Yield the vector f after each classical RK4 step of d/ds f = B(s) f
+    along the equally spaced `times`."""
     h = (times[-1] - times[0]) / (len(times) - 1)
     for s in times[:-1]:
         A1 = _stage(space, schedule, s, h)
@@ -288,9 +288,9 @@ def dirichlet_form(space, generator, f):
     return -float(np.sum(space.pi * f * (generator.mat @ f)))
 
 
-def _local_dirichlet_matrix(space, schedule, y, ell, s):
+def _local_dirichlet_matrix(space, C, y, ell):
     classes = site_classes(space.N, tuple(y), ell)
-    C = schedule.coefficients(s).copy()
+    C = C.copy()
     same = classes[:, None] == classes[None, :]
     C[~same] = 0.0
     np.fill_diagonal(C, 0.0)
@@ -302,16 +302,17 @@ def _local_dirichlet_matrix(space, schedule, y, ell, s):
     return loc, pi_loc, 0.5 * (D + D.T)
 
 
-def poincare_constant(space, y, ell, schedule, s=0.0):
+def poincare_constant(space, y, ell, schedule):
     """Sharp constant sup_f sum pi |f - Pf|^2 / D_loc(f) on the neighborhood of y.
 
     Computed by a dense symmetric eigensolve of the two quadratic forms
     restricted to the orthogonal complement of the local kernel.  Singleton
     neighborhoods give 0.
     """
+    C = _constant(schedule, "Poincare constant")
     if schedule.upsilon is None:
         raise ValueError("Poincare constant requires a declared heavy-tail rate")
-    loc, pi_loc, D = _local_dirichlet_matrix(space, schedule, y, ell, s)
+    loc, pi_loc, D = _local_dirichlet_matrix(space, C, y, ell)
     m = loc.size
     if m > DENSE_SOLVE_GUARD:
         raise ValueError(f"neighborhood too large for dense solve ({m} configurations)")
@@ -340,18 +341,17 @@ def poincare_constant(space, y, ell, schedule, s=0.0):
     return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[-1])
 
 
-def nash_ratio(space, schedule, f, s=0.0, kernel_op=None):
-    """upsilon ||f - Kf||_2^{2+4/n} / (D_s(f) ||f||_1^{4/n}); 0 on the kernel."""
+def nash_ratio(space, schedule, f, kernel_op):
+    """upsilon ||f - Kf||_2^{2+4/n} / (D(f) ||f||_1^{4/n}); 0 on the kernel."""
+    C = _constant(schedule, "Nash ratio")
     if schedule.upsilon is None:
         raise ValueError("Nash ratio requires a declared heavy-tail rate")
     f = np.asarray(f, dtype=float)
-    K = kernel_op if kernel_op is not None else kernel_projection(space)
-    g = f - K.mat @ f
+    g = f - kernel_op.mat @ f
     g_norm = space.norm_l2(g)
     if g_norm <= 1e-12 * max(space.norm_l2(f), 1.0):
         return 0.0
-    op = assemble_generator(space, schedule.coefficients(s))
-    D = dirichlet_form(space, op, f)
+    D = dirichlet_form(space, assemble_generator(space, C), f)
     n = space.n
     return schedule.upsilon * g_norm ** (2.0 + 4.0 / n) / (D * space.norm_l1(f) ** (4.0 / n))
 
@@ -378,7 +378,7 @@ class UCCurve:
         return float(max(0.0, np.max(np.diff(self.norms))))
 
 
-def ultracontractivity_curve(space, schedule, s_grid, kernel_op=None):
+def ultracontractivity_curve(space, schedule, s_grid, kernel_op):
     """Exact ||(1-K) e^{s B}||_{2,inf} for a time-constant schedule on a grid
     of finite times s >= 0.
 
@@ -387,15 +387,14 @@ def ultracontractivity_curve(space, schedule, s_grid, kernel_op=None):
     pi-weighted norm pi_x^{-1} sum_k P_xk^2 e^{2 s w_k}, because Q^T Q = I.
     So the whole grid costs one product with K and one with the exponentials.
     """
-    if schedule.time_dependent:
-        raise ValueError("ultracontractivity curve expects a time-constant schedule")
+    C = _constant(schedule, "ultracontractivity curve")
     if schedule.upsilon is None:
         raise ValueError("ultracontractivity requires a declared heavy-tail rate")
     s_grid = np.asarray(s_grid, dtype=float)
     if not np.all(np.isfinite(s_grid) & (s_grid >= 0)):
         raise ValueError("s_grid must be finite and nonnegative")
-    op = assemble_generator(space, schedule.coefficients(0.0))
-    K = (kernel_op if kernel_op is not None else kernel_projection(space)).dense()
+    op = assemble_generator(space, C)
+    K = kernel_op.dense()
     w, Q, half = _symmetrized_eig(space, op)
     P = Q - half[:, None] * (K @ (Q / half[:, None]))
     rows = (P**2 @ np.exp(2.0 * np.multiply.outer(w, s_grid))) / space.pi[:, None]
@@ -425,40 +424,28 @@ class FSPProfile:
 
 
 def fsp_profile(space, schedule, y, ell, window, s1, s2):
-    """Propagator column |U_S(s1,s2) delta_y| against distance, short-range schedule.
+    """Propagator column |U_S(s1,s2) delta_y| against distance, for the
+    short-range cut of a time-constant schedule.
 
     Requires the proposition's time window s2 - s1 <= ell / N.
     """
     if s2 - s1 > ell / space.N + 1e-12:
         raise ValueError("finite-speed window requires s2 - s1 <= ell / N")
     short = schedule.short_range(ell, window)
-    steps = max(64, _stable_steps(space, short, s1, s2)) if short.time_dependent else 1
-    f = propagate(space, short, space.delta(y), s1, s2, steps).final
+    f = propagate(space, short, space.delta(y), s1, s2, 1).final
     return FSPProfile(dist=config_distance(space.configs, y, window), values=np.abs(f))
 
 
 def l1_growth(space, schedule, s_grid):
-    """Exact ||U(0,s)||_{1,1} (max measure-representation column sum) along a
-    nonnegative, nondecreasing grid."""
+    """Exact ||e^{sB}||_{1,1} (max measure-representation column sum) of a
+    time-constant schedule at each finite time s >= 0 of the grid."""
+    C = _constant(schedule, "L1 growth")
     s_grid = np.asarray(s_grid, dtype=float)
-    if np.any(s_grid < 0) or np.any(np.diff(s_grid) < 0):
-        raise ValueError("s_grid must be nonnegative and nondecreasing")
-    out = np.empty_like(s_grid)
-    if not schedule.time_dependent:
-        w, Q, half = _symmetrized_eig(space, assemble_generator(space, schedule.coefficients(0.0)))
-        g = half[:, None] * Q
-        for k, s in enumerate(s_grid):
-            # (e^{sB})^T in the operation order of the tests' dense eig_apply oracle,
-            # so the values match it bit for bit.
-            out[k] = operator_norm_11(space, ((np.exp(s * w) * g) @ Q.T / half).T)
-        return list(zip(s_grid.tolist(), out.tolist()))
-    # Time-varying: march the full matrix between grid points.
-    mat, prev = np.eye(space.size), 0.0
-    for k, s in enumerate(s_grid):
-        if s > prev:
-            steps = max(64, _stable_steps(space, schedule, prev, s))
-            for mat in _rk4(space, schedule, mat, np.linspace(prev, s, steps + 1)):
-                pass
-            prev = s
-        out[k] = operator_norm_11(space, mat)
-    return list(zip(s_grid.tolist(), out.tolist()))
+    if not np.all(np.isfinite(s_grid) & (s_grid >= 0)):
+        raise ValueError("s_grid must be finite and nonnegative")
+    w, Q, half = _symmetrized_eig(space, assemble_generator(space, C))
+    g = half[:, None] * Q
+    # (e^{sB})^T in the operation order of the tests' dense eig_apply oracle,
+    # so the values match it bit for bit.
+    out = [operator_norm_11(space, ((np.exp(s * w) * g) @ Q.T / half).T) for s in s_grid]
+    return list(zip(s_grid.tolist(), out))

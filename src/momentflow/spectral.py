@@ -318,19 +318,17 @@ def free_convolution_m(profile, z):
     return m
 
 
-def fixed_point_residual(profile, z, m=None):
-    """|m - m_N(z + t m)| at the cached (or supplied) fixed point.
+def fixed_point_residual(profile, z):
+    """|m - m_N(z + t m)| at the cached fixed point.
 
     An array of z is solved cold in one vectorized call, bypassing the cache,
     and gives an array of residuals.
     """
     if np.ndim(z):
         z = np.asarray(z, dtype=complex)
-        if m is None:
-            m = _solve_fixed_point(profile, z)
+        m = _solve_fixed_point(profile, z)
         return np.abs(m - profile.empirical_stieltjes(z + profile.t * m))
-    if m is None:
-        m = free_convolution_m(profile, z)
+    m = free_convolution_m(profile, z)
     target = complex(profile.empirical_stieltjes(complex(z) + profile.t * m)[0])
     return abs(m - target)
 
@@ -423,14 +421,14 @@ def classical_locations(profile):
     return gamma
 
 
-def quantile_defect(profile, gamma=None):
-    """Max |F(gamma_i) - (i - 1/2)/N| with the exact distribution function F.
+def quantile_defect(profile):
+    """Max |F(gamma_i) - (i - 1/2)/N| at the classical locations, with the
+    exact distribution function F.
 
-    F is evaluated afresh at the given locations, independently of how they
-    were found.
+    F is evaluated afresh at the locations, independently of how they were
+    found.
     """
-    if gamma is None:
-        gamma = classical_locations(profile)
+    gamma = classical_locations(profile)
     N = profile.reference.eigenvalues.size
     levels = (np.arange(1, N + 1) - 0.5) / N
     F, _, _ = _cdf_and_density(profile, gamma)

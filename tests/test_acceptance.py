@@ -211,7 +211,8 @@ def test_criterion_07_ultracontractivity():
     # n=4, N=10, c=|i-j|^{-2}, upsilon=1: log-log slope on [0.2, 0.5] <= -0.7.
     sp = cs.enumerate_space(10, 4)
     sched = rx.CoefficientSchedule.inverse_square(10, upsilon=1.0)
-    curve = rx.ultracontractivity_curve(sp, sched, np.geomspace(0.2, 0.5, 12))
+    curve = rx.ultracontractivity_curve(sp, sched, np.geomspace(0.2, 0.5, 12),
+                                        kernel_op=cs.kernel_projection(sp))
     slope = curve.slope(0.2, 0.5)
     passed = slope <= -0.7
     report(7, "ultracontractivity", passed, f"slope={slope:.4f} target<=-0.7")
@@ -269,7 +270,7 @@ def test_criterion_10_ansatz_consistency():
         V.append(v / np.linalg.norm(v))
     prof = spx.FreeConvolutionProfile(zero_reference(N), 1.0)
     worst_match = max(
-        abs(az.gaussian_wick_moment(x, V, N=N) - az.ansatz_F(x, x, V, prof))
+        abs(az.gaussian_wick_moment(x, V) - az.ansatz_F(x, x, V, prof))
         for x in sp.configs
     )
     y = (2, 2, 3, 3)

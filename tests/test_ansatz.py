@@ -25,14 +25,14 @@ def unit_vectors(N, n, seed):
 
 def test_wick_trivial_values():
     e = np.eye(6)
-    assert az.gaussian_wick_moment((0, 0, 1, 1), [e[2]] * 4, N=6) == 1.0
-    assert az.gaussian_wick_moment((0, 0, 0, 0), [e[2]] * 4, N=6) == 1.0
-    assert az.gaussian_wick_moment((0, 0), [e[1], e[2]], N=6) == 0.0
+    assert az.gaussian_wick_moment((0, 0, 1, 1), [e[2]] * 4) == 1.0
+    assert az.gaussian_wick_moment((0, 0, 0, 0), [e[2]] * 4) == 1.0
+    assert az.gaussian_wick_moment((0, 0), [e[1], e[2]]) == 0.0
 
 
 def test_wick_rejects_odd():
     with pytest.raises(ValueError):
-        az.gaussian_wick_moment((0, 1), [np.eye(4)[0]] * 2, N=4)
+        az.gaussian_wick_moment((0, 1), [np.eye(4)[0]] * 2)
 
 
 def test_ansatz_identity_covariance_matches_wick():
@@ -41,7 +41,7 @@ def test_ansatz_identity_covariance_matches_wick():
     V = unit_vectors(N, n, 11)
     profile = spx.FreeConvolutionProfile(zero_reference(N), 1.0)
     for x in space.configs:
-        wick = az.gaussian_wick_moment(x, V, N=N)
+        wick = az.gaussian_wick_moment(x, V)
         assert abs(wick - az.ansatz_F(x, x, V, profile)) <= 1e-12
 
 

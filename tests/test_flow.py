@@ -319,21 +319,17 @@ def test_generator_consistency_finite_difference():
         assert abs(fd[x[0]] - exact[ix]) <= 3.0 * se[x[0]]
 
 
-def test_generator_matches_direct_perturbation_n4():
-    # B f_0 against (E f_delta - f_0) / delta on all 65 configurations of
-    # Lambda^4_5, with f = N^{n/2} pi^{-1/2} prod_a <u_{x_a}, v_a> over the
-    # eigenvectors of diag(lam0) + sqrt(delta) GOE: the SEE's law at time
-    # delta with no Euler error.  At n = 4 the exchange part, and so the sign
-    # of "move minus exchange", is live; on Lambda^2 it is empty.  The band
-    # |z| <= 4.1 is Bonferroni over the 65 comparisons at the family-wise
-    # level of one 3-stderr check.
-    N, n, delta, samples = 5, 4, 1e-3, 100_000
-    lam0 = np.linspace(-1.0, 1.0, N)
-    V = stream(61).standard_normal((N, n))
-    V /= np.linalg.norm(V, axis=0)
-    G = stream(62).standard_normal((samples, N, N))
-    H = np.diag(lam0) + math.sqrt(delta / (2.0 * N)) * (G + G.transpose(0, 2, 1))
-    overlaps = np.linalg.eigh(H)[1].transpose(0, 2, 1) @ V  # [s, k, a] = <u_k, v_a>
+def _generator_z_scores_n4(lam0, V, frames, delta):
+    """z-scores of (E f_delta - f_0) / delta against B f_0 on all 65
+    configurations of Lambda^4_5, with f = N^{n/2} pi^{-1/2} prod_a <u_{x_a}, v_a>
+    over the endpoint frames (samples, N, N), eigenvectors as columns.
+
+    At n = 4 the exchange part, and so the sign of "move minus exchange", is
+    live; on Lambda^2 it is empty.
+    """
+    N, n = V.shape
+    samples = frames.shape[0]
+    overlaps = frames.transpose(0, 2, 1) @ V  # [s, k, a] = <u_k, v_a>
     space = cs.enumerate_space(N, n)
     B = cs.assemble_generator(space, rx.CoefficientSchedule.from_eigenvalues(lam0).coefficients())
     scale = N ** (n / 2.0) / np.sqrt(space.pi)
@@ -344,6 +340,34 @@ def test_generator_matches_direct_perturbation_n4():
         f = scale[c] * np.prod(overlaps[:, x, np.arange(n)], axis=1)
         se = f.std(ddof=1) / math.sqrt(samples) / delta
         z[c] = ((f.mean() - f0[c]) / delta - drift[c]) / se
+    return z
+
+
+def test_generator_matches_direct_perturbation_n4():
+    # Frames of diag(lam0) + sqrt(delta) GOE: the SEE's law at time delta with
+    # no Euler error.  The band |z| <= 4.1 is Bonferroni over the 65
+    # comparisons at the family-wise level of one 3-stderr check.
+    N, n, delta, samples = 5, 4, 1e-3, 100_000
+    lam0 = np.linspace(-1.0, 1.0, N)
+    V = stream(61).standard_normal((N, n))
+    V /= np.linalg.norm(V, axis=0)
+    G = stream(62).standard_normal((samples, N, N))
+    H = np.diag(lam0) + math.sqrt(delta / (2.0 * N)) * (G + G.transpose(0, 2, 1))
+    z = _generator_z_scores_n4(lam0, V, np.linalg.eigh(H)[1], delta)
+    assert np.max(np.abs(z)) <= 4.1, np.max(np.abs(z))
+
+
+def test_generator_matches_see_endpoint_ensemble_n4():
+    # The same check on the frames of the SDE code itself, so the exchange
+    # part of B is tested against the SEE at n = 4.  Reads max |z| 2.18; a
+    # move-only B reads 15.0 and a flipped exchange sign 29.8, but exchange
+    # scaled by 0.8 reads only 3.25, inside the band.
+    N, n, delta, dt, paths = 5, 4, 1e-3, 1e-5, 20_000
+    lam0 = np.linspace(-1.0, 1.0, N)
+    V = stream(61).standard_normal((N, n))
+    V /= np.linalg.norm(V, axis=0)
+    _, frames = flow.see_endpoint_ensemble(lam0, np.eye(N), delta, dt, paths, (63, 1))
+    z = _generator_z_scores_n4(lam0, V, frames, delta)
     assert np.max(np.abs(z)) <= 4.1, np.max(np.abs(z))
 
 

@@ -129,8 +129,9 @@ def test_particle_number_defaults(monkeypatch, tmp_path):
 
     monkeypatch.setattr(harness, "run_experiment", capture)
     for kind in ("operator-suite", "ansatz-compare", "mixing"):
+        monkeypatch.setattr(sys, "argv", ["momentflow", kind, "--out", str(tmp_path)])
         with pytest.raises(Captured):
-            harness.main([kind, "--out", str(tmp_path)])
+            harness.main()
     assert [cfg.n for cfg in seen] == [4, 4, 2]
     for kind in ("operator-suite", "ansatz-compare"):
         assert ExperimentConfig(kind=kind, n=2).n == 2
@@ -206,7 +207,7 @@ def test_cli_end_to_end(tmp_path):
     assert (out_dir / "profile.csv").exists()
 
 
-def test_cli_seed_override_reaches_ensemble_echo(tmp_path):
+def test_cli_seed_override_reaches_ensemble_echo(monkeypatch, tmp_path):
     # --seed replaces the config file's seed after the config is built; the
     # echoed ensemble seed must be the one the run drew from, and the run
     # must equal one configured with that seed directly.
@@ -216,8 +217,9 @@ def test_cli_seed_override_reaches_ensemble_echo(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**base, "seed": file_seed}))
         out_dir = tmp_path / name
-        assert harness.main(["assumptions", "--config", str(path), "--out", str(out_dir),
-                             *argv]) == 0
+        monkeypatch.setattr(sys, "argv", ["momentflow", "assumptions", "--config", str(path),
+                                          "--out", str(out_dir), *argv])
+        assert harness.main() == 0
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["config"].pop("out") == str(out_dir)
         summaries.append(summary)

@@ -187,9 +187,19 @@ def test_propagate_time_dependent_matches_constant():
     varying = rx.CoefficientSchedule.from_function(lambda s: C, N=5)
     f0 = stream(6).standard_normal(sp.size)
     a = rx.propagate(sp, const, f0, 0.0, 0.2, steps=8).final
-    steps = max(64, rx._stable_steps(sp, varying, 0.0, 0.2))
+    steps = max(64, math.ceil(4 * 0.2 * rx._inf_norm(cs.assemble_generator(sp, C))))
     b = rx.propagate(sp, varying, f0, 0.0, 0.2, steps=steps).final
     assert np.max(np.abs(a - b)) <= 1e-8
+
+
+@pytest.mark.parametrize("s1, s2, steps, match", [
+    (0.0, np.nan, 4, "s1 and s2"), (0.0, np.inf, 4, "s1 and s2"),
+    (0.2, 0.1, 4, "s1 and s2"), (0.0, 0.2, 0, "steps")],
+    ids=["nan-s2", "inf-s2", "s2-before-s1", "zero-steps"])
+def test_propagate_rejects_bad_times_and_steps(s1, s2, steps, match):
+    sp = cs.enumerate_space(5, 2)
+    with pytest.raises(ValueError, match=match):
+        rx.propagate(sp, random_schedule(5, 5), np.ones(sp.size), s1, s2, steps)
 
 
 def test_propagate_stability_guard():
@@ -372,17 +382,16 @@ def test_ultracontractivity_curve():
 
 
 @pytest.mark.parametrize("N, n", [(6, 4), (10, 4), (12, 2)])
-@pytest.mark.parametrize("kernel", ["default", "projection", "arbitrary"])
+@pytest.mark.parametrize("kernel", ["projection", "arbitrary"])
 def test_ultracontractivity_curve_matches_dense_oracle(N, n, kernel):
     sp = cs.enumerate_space(N, n)
     sched = rx.CoefficientSchedule.inverse_square(N, upsilon=1.0)
     eig = rx._symmetrized_eig(sp, cs.assemble_generator(sp, sched.coefficients()))
-    op = {"default": None,
-          "projection": cs.kernel_projection(sp),
+    op = {"projection": cs.kernel_projection(sp),
           # The identity needs only Q^T Q = I, so any operator in K's place works.
           "arbitrary": cs.WeightedOperator(sp, stream(3).standard_normal((sp.size, sp.size))),
           }[kernel]
-    K = (op if op is not None else cs.kernel_projection(sp)).dense()
+    K = op.dense()
     grid = np.concatenate([[0.0, 1e-9], np.geomspace(2.0 / N, 0.5, 6), [1.0, 5.0]])
     curve = rx.ultracontractivity_curve(sp, sched, grid, kernel_op=op)
     want = np.array([dense_uc_norm(sp, eig, K, s) for s in grid])
@@ -395,7 +404,7 @@ def test_ultracontractivity_curve_rejects_negative_or_nonfinite_time(grid):
     sp = cs.enumerate_space(6, 4)
     sched = rx.CoefficientSchedule.inverse_square(6, upsilon=1.0)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        rx.ultracontractivity_curve(sp, sched, grid)
+        rx.ultracontractivity_curve(sp, sched, grid, kernel_op=cs.kernel_projection(sp))
 
 
 def test_fsp_profile_bounds():
@@ -424,37 +433,76 @@ def _fsp_setup():
 
 @pytest.mark.parametrize("kind", ["l1_growth", "fsp_profile"])
 def test_time_dependent_constant_schedule_matches_exact(kind):
+    # propagate's RK4 march of a time-varying schedule that happens to be
+    # constant reproduces the exact values of the constant-only entry points.
     if kind == "l1_growth":
         sp = cs.enumerate_space(6, 4)
         const = rx.CoefficientSchedule.inverse_square(6, 1.0)
         C = const.coefficients()
-        varying = rx.CoefficientSchedule.from_function(lambda s: C, N=6)
         grid = [0.0, 0.2, 0.6, 1.0]
-        a = np.array(rx.l1_growth(sp, const, grid))
-        b = np.array(rx.l1_growth(sp, varying, grid))
     else:
         N, ell, window, const = _fsp_setup()
-        C = const.coefficients()
-        varying = rx.CoefficientSchedule.from_function(lambda s: C, N=N)
         sp = cs.enumerate_space(N, 2)
+        C = const.short_range(ell, window).coefficients()
+        grid = [0.0, ell / N]
+    varying = rx.CoefficientSchedule.from_function(lambda s: C, N=sp.N)
+    norm_inf = rx._inf_norm(cs.assemble_generator(sp, C))
+
+    def march(f):
+        # f at each grid time, one stable march of at least 64 steps per gap.
+        out = [f]
+        for s1, s2 in zip(grid, grid[1:]):
+            steps = max(64, math.ceil(4 * (s2 - s1) * norm_inf))
+            out.append(rx.propagate(sp, varying, out[-1], s1, s2, steps).final)
+        return np.array(out)
+
+    if kind == "l1_growth":
+        cols = np.stack([march(sp.delta(x)) for x in sp.configs], axis=2)
+        a = np.array([s for _, s in rx.l1_growth(sp, const, grid)])
+        b = np.array([rx.operator_norm_11(sp, U) for U in cols])
+    else:
         y = (N // 2, N // 2)
-        a = rx.fsp_profile(sp, const, y, ell, window, 0.0, ell / N).values
-        b = rx.fsp_profile(sp, varying, y, ell, window, 0.0, ell / N).values
+        a = rx.fsp_profile(sp, const, y, ell, window, 0.0, grid[-1]).values
+        b = np.abs(march(sp.delta(y))[-1])
     assert np.max(np.abs(a - b)) <= 1e-7
 
 
-@pytest.mark.parametrize("time_dependent", [False, True])
-@pytest.mark.parametrize("grid", [[0.5, 0.2], [-0.1, 0.2]])
-def test_l1_growth_rejects_unordered_or_negative_grid(time_dependent, grid):
-    # A time-dependent march cannot go back in time, so an unordered grid
-    # would report the norm of an earlier, larger point.
+def test_inequalities_reject_time_dependent_schedule():
+    # The inequalities bound the semigroup of one time-constant generator;
+    # propagate is the only entry point that steps a time-varying one.
+    N, ell, window, const = _fsp_setup()
+    sp = cs.enumerate_space(N, 2)
+    y = (N // 2, N // 2)
+    C = const.coefficients()
+    varying = rx.CoefficientSchedule.from_function(lambda s: C, N=N)
+    varying.upsilon = 1.0
+    K = cs.kernel_projection(sp)
+    calls = [
+        lambda: rx.l1_growth(sp, varying, [0.1]),
+        lambda: rx.fsp_profile(sp, varying, y, ell, window, 0.0, ell / N),
+        lambda: rx.poincare_constant(sp, y, ell, varying),
+        lambda: rx.nash_ratio(sp, varying, sp.delta(y), kernel_op=K),
+        lambda: rx.ultracontractivity_curve(sp, varying, [0.1], kernel_op=K),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="expects a time-constant schedule"):
+            call()
+
+
+@pytest.mark.parametrize("grid", [[-0.1, 0.2], [np.nan], [0.0, np.inf]])
+def test_l1_growth_rejects_negative_or_nonfinite_time(grid):
     sp = cs.enumerate_space(6, 4)
     sched = rx.CoefficientSchedule.inverse_square(6, 1.0)
-    if time_dependent:
-        C = sched.coefficients()
-        sched = rx.CoefficientSchedule.from_function(lambda s: C, N=6)
-    with pytest.raises(ValueError, match="nondecreasing"):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
         rx.l1_growth(sp, sched, grid)
+
+
+def test_l1_growth_unordered_grid_gives_sorted_values():
+    # Each grid time is evaluated on its own, so the order of the grid is free.
+    sp = cs.enumerate_space(6, 4)
+    sched = rx.CoefficientSchedule.inverse_square(6, 1.0)
+    assert rx.l1_growth(sp, sched, [0.5, 0.0, 0.2]) == [
+        rx.l1_growth(sp, sched, [0.0, 0.2, 0.5])[k] for k in (2, 0, 1)]
 
 
 @pytest.mark.parametrize("N", [6, 8, 10])

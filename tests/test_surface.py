@@ -1,9 +1,10 @@
 """Public surface: every public function, class and method in the package has
-a caller in the package itself, the demos or the benchmark.
+a caller in the package itself, the demos or the benchmark, and so does every
+parameter default of those functions and methods.
 
-An API that only its own tests call belongs with those tests.  References
-are NAME tokens, so a name in a string or a comment does not count, and
-neither does a re-export from the package's __init__.
+An API or a knob that only its own tests use belongs with those tests.
+References are NAME tokens, so a name in a string or a comment does not
+count, and neither does a re-export from the package's __init__.
 """
 
 import ast
@@ -33,18 +34,50 @@ def name_counts(sources):
 
 
 def public_definitions(path):
-    """(qualified name, bare name) of each public module-level function and
-    class, and of each public method of those classes."""
+    """(qualified name, node) of each public module-level function and class,
+    and of each public method of those classes."""
     tree = ast.parse(path.read_text())
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if not isinstance(node, kinds) or node.name.startswith("_"):
             continue
-        yield f"{path.stem}.{node.name}", node.name
+        yield f"{path.stem}.{node.name}", node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, kinds[:2]) and not item.name.startswith("_"):
-                    yield f"{path.stem}.{node.name}.{item.name}", item.name
+                    yield f"{path.stem}.{node.name}.{item.name}", item
+
+
+def _callee(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def call_sites(sources):
+    """(callee's bare name, positional argument count, keyword names) of each
+    call in Python sources; functools.partial(f, ...) counts as a call of f."""
+    for src in sources:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call):
+                name, args = _callee(node.func), node.args
+                if name == "partial" and args:
+                    name, args = _callee(args[0]), args[1:]
+                yield name, len(args), {kw.arg for kw in node.keywords}
+
+
+def defaulted_parameters(fn, method):
+    """(name, positional index or None) of each parameter of fn with a default;
+    a method's index counts from after self or cls."""
+    a = fn.args
+    pos = [p.arg for p in a.posonlyargs + a.args]
+    if method and pos and pos[0] in ("self", "cls"):
+        pos = pos[1:]
+    for k in range(len(pos) - len(a.defaults), len(pos)):
+        yield pos[k], k
+    for p, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield p.arg, None
 
 
 def test_name_counts_skip_strings_and_comments():
@@ -56,6 +89,30 @@ def test_every_public_api_has_a_caller():
     counts = name_counts(p.read_bytes() for p in caller_files())
     defs = [d for path in modules() for d in public_definitions(path)]
     # Each definition contributes one NAME token, the one after def/class.
-    defined = Counter(name for _, name in defs)
-    uncalled = sorted(qual for qual, name in defs if counts[name] <= defined[name])
+    defined = Counter(node.name for _, node in defs)
+    uncalled = sorted(qual for qual, node in defs if counts[node.name] <= defined[node.name])
     assert not uncalled, f"public APIs with no caller outside tests: {uncalled}"
+
+
+def test_call_sites_read_positions_keywords_and_partial():
+    src = b"f(1, 2, c=3)\nfunctools.partial(m.g, 1, d=2)\n"
+    assert sorted(call_sites([src])) == [("f", 2, {"c"}), ("g", 1, {"d"})]
+    fn = ast.parse("def h(self, a, b=1, *, c=2, d): pass").body[0]
+    assert list(defaulted_parameters(fn, method=True)) == [("b", 1), ("c", None)]
+
+
+def test_every_public_keyword_is_set_by_a_caller():
+    # A default that no call overrides guards a branch only tests reach.
+    # Calls match by bare name, as the caller test does.
+    calls = list(call_sites(p.read_bytes() for p in caller_files()))
+    unset = []
+    for path in modules():
+        for qual, node in public_definitions(path):
+            if isinstance(node, ast.ClassDef):
+                continue
+            for param, index in defaulted_parameters(node, method=qual.count(".") == 2):
+                if not any(name == node.name and (param in keywords or
+                                                  index is not None and npos > index)
+                           for name, npos, keywords in calls):
+                    unset.append(f"{qual}({param}=)")
+    assert not unset, f"public parameter defaults no call outside tests sets: {unset}"
