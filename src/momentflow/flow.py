@@ -252,36 +252,32 @@ def _validate_request(req):
     return x, V
 
 
-def overlap_samples(ensemble, t, seed, trials, indices, vectors, threads=1):
+def overlap_samples(ensemble, t, seed, trials, indices, vectors):
     """Per-trial overlaps <u_i(t), w> of eigenvectors with test vectors.
 
     Returns an array (trials, len(indices), vectors.shape[1]) whose entry
     [k, r, c] is the overlap of eigenvector indices[r] of trial k with column
     c of `vectors`.  Trial k samples H from `ensemble` on stream (seed, k, 0)
     and, for t > 0, adds sqrt(t) GOE on stream (seed, k, 1); it solves only
-    the eigenpairs min(indices)..max(indices).  Each value depends on
-    (seed, k) alone, so every thread count gives the same array; with one
-    thread the trials run in the calling thread.
+    the eigenpairs min(indices)..max(indices).  Trials run in the calling
+    thread; row k depends on (seed, k) alone, and by roundoff (up to 8.1e-14
+    between 1 and 2 threads) on the BLAS thread count.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     lo, hi = min(indices), max(indices)
     cols = [i - lo for i in indices]
     W = np.asarray(vectors, dtype=float)
-
-    def run_trial(k):
+    out = np.empty((trials, len(cols), W.shape[1]))
+    for k in range(trials):
         H = sample_ensemble(ensemble, seed=(seed, k, 0))
         if t > 0:
             H = perturb_gaussian(H, t, (seed, k, 1))
-        return eig_sym(H, subset=(lo, hi)).frame[:, cols].T @ W
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_trial, range(trials)))
-    else:
-        rows = [run_trial(k) for k in range(trials)]
-    return np.array(rows).reshape(trials, len(cols), W.shape[1])
+        out[k] = eig_sym(H, subset=(lo, hi)).frame[:, cols].T @ W
+    return out
 
 
-def moment_samples(req, threads=1):
+def moment_samples(req):
     """Per-trial values of pi^{-1/2} N^{n/2} prod <u_{x_a}(t), v_a>.
 
     N is the matrix dimension, not the number of eigenpairs a trial solves.
@@ -293,15 +289,14 @@ def moment_samples(req, threads=1):
     N = req.ensemble.N
     pi_root = math.sqrt(pi_weight(x, N))
     sites = sorted(set(x))
-    overlaps = overlap_samples(req.ensemble, req.t, req.seed, req.trials, sites, V,
-                               threads=threads)
+    overlaps = overlap_samples(req.ensemble, req.t, req.seed, req.trials, sites, V)
     factors = overlaps[:, [sites.index(i) for i in x], np.arange(n)]
     return N ** (n / 2.0) * np.prod(factors, axis=1) / pi_root
 
 
-def estimate_moment(req, threads=1):
+def estimate_moment(req):
     """(estimate, stderr) of the colored eigenvector moment observable."""
-    values = moment_samples(req, threads=threads)
+    values = moment_samples(req)
     est = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
     return est, stderr

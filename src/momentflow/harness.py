@@ -102,7 +102,9 @@ class ExperimentConfig:
 
     Defaults are desk-scale choices, echoed into the report so nothing is
     hidden inside check code.  An unset n takes the kind's default: 4 for
-    operator-suite and ansatz-compare, 2 for every other kind.
+    operator-suite and ansatz-compare, 2 for every other kind.  `threads`
+    must be 1, as trial loops run in the calling thread; the field stays so
+    that configs naming every field load and reports echo it.
     """
 
     kind: str
@@ -141,6 +143,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.threads != 1:
+            raise ValueError("threads must be 1: trial loops run in the calling thread")
         _apply_kind_defaults(self)
         if self.enforce_scales and self.window is not None and self.t > 0:
             validate_scale_chain(self.window.eta_star, self.t, self.window.r,
@@ -515,10 +519,9 @@ def _fsp_experiment(cfg):
     mid = N // 2
     y = (mid, mid)
     prof = rx.fsp_profile(space, sched, y, ell, window, 0.0, ell / N)
-    short_tag = f"short-range(ell={ell})"
     tables["profile"] = (
         ["dist", "value", "N", "n", "ell", "schedule"],
-        [(d, v, N, 2, ell, short_tag) for d, v in prof.rows()])
+        [(d, v, N, 2, ell, prof.schedule) for d, v in prof.rows()])
     _bound_check(checks, "far-field", prof.max_at_or_beyond(4 * ell), 1e-6)
     envelope = prof.binned_envelope()
     worst_rise = max(
@@ -544,8 +547,7 @@ def _joint_normality_experiment(cfg):
 
     # Columns v0, w0, v1, w1, ...; overlaps of u_{i_bulk} and u_{j_bulk}.
     vectors = np.stack([u for pair in vw_pairs for u in pair], axis=1)
-    ov = overlap_samples(spec, cfg.t, cfg.seed, cfg.trials, (i_bulk, j_bulk), vectors,
-                         threads=cfg.threads)
+    ov = overlap_samples(spec, cfg.t, cfg.seed, cfg.trials, (i_bulk, j_bulk), vectors)
     oi, oj = ov[:, 0], ov[:, 1]
     a_vals = N * oi[:, 0::2] * oi[:, 1::2]
     b_vals = N * oj[:, 0] * oj[:, 1]
@@ -622,7 +624,7 @@ def _ansatz_compare_experiment(cfg):
         trials=cfg.mc_trials,
         seed=cfg.seed + 12,
     )
-    est, se = estimate_moment(req, threads=cfg.threads)
+    est, se = estimate_moment(req)
     target = ansatz_mod.gaussian_wick_moment((i_bulk, i_bulk), [v, w])
     _check(checks, "moment-vs-wick", est, target, 3.0 * max(se, 1e-12))
     return checks, tables
@@ -711,8 +713,6 @@ def main():
         p.add_argument("--seed", type=int, default=None, help="base seed (u64)")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--format", type=str, choices=("json", "csv"), default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for trial loops")
     args = parser.parse_args()
 
     if args.config:
@@ -721,7 +721,7 @@ def main():
             parser.error(f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}")
     else:
         cfg = ExperimentConfig(kind=args.kind, seed=args.seed or 0)
-    for name in ("seed", "out", "format", "threads"):
+    for name in ("seed", "out", "format"):
         val = getattr(args, name)
         if val is not None:
             setattr(cfg, name, val)

@@ -407,6 +407,7 @@ class FSPProfile:
 
     dist: np.ndarray
     values: np.ndarray
+    schedule: str  # tag of the short-range schedule
 
     def rows(self):
         return sorted(zip(self.dist.tolist(), self.values.tolist()))
@@ -433,7 +434,8 @@ def fsp_profile(space, schedule, y, ell, window, s1, s2):
         raise ValueError("finite-speed window requires s2 - s1 <= ell / N")
     short = schedule.short_range(ell, window)
     f = propagate(space, short, space.delta(y), s1, s2, 1).final
-    return FSPProfile(dist=config_distance(space.configs, y, window), values=np.abs(f))
+    return FSPProfile(dist=config_distance(space.configs, y, window), values=np.abs(f),
+                      schedule=short.tag)
 
 
 def l1_growth(space, schedule, s_grid):

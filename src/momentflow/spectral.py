@@ -319,18 +319,16 @@ def free_convolution_m(profile, z):
 
 
 def fixed_point_residual(profile, z):
-    """|m - m_N(z + t m)| at the cached fixed point.
-
-    An array of z is solved cold in one vectorized call, bypassing the cache,
-    and gives an array of residuals.
-    """
-    if np.ndim(z):
-        z = np.asarray(z, dtype=complex)
-        m = _solve_fixed_point(profile, z)
-        return np.abs(m - profile.empirical_stieltjes(z + profile.t * m))
-    m = free_convolution_m(profile, z)
-    target = complex(profile.empirical_stieltjes(complex(z) + profile.t * m)[0])
-    return abs(m - target)
+    """|m - m_N(z + t m)| at the fixed point m, solved cold in one vectorized
+    call; a scalar z gives a float, an array of z an array of residuals."""
+    zs = np.asarray(z, dtype=complex)
+    if np.any(zs.imag < 0):
+        raise ValueError("spectral parameter must have eta >= 0")
+    flat = zs.ravel()
+    m = _solve_fixed_point(profile, flat)
+    diff = m - profile.empirical_stieltjes(flat + profile.t * m)
+    # A scalar keeps Python's complex abs, which can differ from np.abs in the last bit.
+    return abs(complex(diff[0])) if zs.ndim == 0 else np.abs(diff).reshape(zs.shape)
 
 
 def _cdf_and_density(profile, energies, m0=None):

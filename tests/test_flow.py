@@ -13,7 +13,6 @@ from momentflow import flow
 from momentflow import relaxation as rx
 from momentflow import spectral as spx
 from momentflow._rng import stream
-from momentflow.harness import ExperimentConfig, run_experiment
 
 
 def test_integrate_see_zero_time():
@@ -470,19 +469,30 @@ def test_moment_samples_match_full_solve(x, t):
     assert np.max(np.abs(flow.moment_samples(req) - expected)) <= 1e-12
 
 
-def test_moment_threads_deterministic():
+def test_moment_trials_are_a_prefix_of_longer_runs():
+    # Trial k depends on (seed, k) alone, so the first 32 rows of a 64-trial
+    # run are the 32-trial run.
     N = 30
     v, w = _unit_pair(N, 24)
-    req = flow.MomentRequest(configuration=(N // 2, N // 2),
-                             vectors=np.stack([v, w], axis=1),
-                             ensemble=ens.EnsembleSpec(kind="goe", N=N, seed=3),
-                             t=0.5, trials=64, seed=8)
-    a = flow.moment_samples(req, threads=1)
-    b = flow.moment_samples(req, threads=4)
-    assert np.array_equal(a, b)
-    checks = []
-    for threads in (1, 2):
-        cfg = ExperimentConfig(kind="joint-normality", seed=8, trials=64, threads=threads,
-                               ensemble=ens.EnsembleSpec(kind="goe", N=N, seed=8))
-        checks.append([(c.name, c.value, c.tol) for c in run_experiment(cfg).checks])
-    assert checks[0] == checks[1]
+    rows = []
+    for trials in (32, 64):
+        req = flow.MomentRequest(configuration=(N // 2, N // 2),
+                                 vectors=np.stack([v, w], axis=1),
+                                 ensemble=ens.EnsembleSpec(kind="goe", N=N, seed=3),
+                                 t=0.5, trials=trials, seed=8)
+        rows.append(flow.moment_samples(req))
+    assert rows[0].shape == (32,) and rows[1].shape == (64,)
+    assert np.array_equal(rows[0], rows[1][:32])
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_trial_loop_rejects_no_trials(trials):
+    N = 10
+    V = np.stack(_unit_pair(N, 24), axis=1)
+    spec = ens.EnsembleSpec(kind="goe", N=N, seed=3)
+    with pytest.raises(ValueError, match="trials"):
+        flow.overlap_samples(spec, 0.5, 8, trials, (4, 5), V)
+    req = flow.MomentRequest(configuration=(N // 2, N // 2), vectors=V,
+                             ensemble=spec, t=0.0, trials=trials, seed=8)
+    with pytest.raises(ValueError, match="trials"):
+        flow.estimate_moment(req)

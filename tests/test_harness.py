@@ -228,6 +228,26 @@ def test_cli_seed_override_reaches_ensemble_echo(monkeypatch, tmp_path):
     assert summaries[0] == summaries[1]
 
 
+def test_threads_other_than_one_rejected(monkeypatch, capsys):
+    # Trial loops run in the calling thread: a config or a flag asking for
+    # threads fails instead of running the same loop.
+    with pytest.raises(ValueError, match="threads must be 1"):
+        ExperimentConfig(kind="joint-normality", threads=2)
+    assert ExperimentConfig(kind="joint-normality").to_dict()["threads"] == 1
+    monkeypatch.setattr(sys, "argv", ["momentflow", "joint-normality", "--threads", "2"])
+    with pytest.raises(SystemExit) as exit_info:
+        harness.main()
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_ansatz_compare_without_trials_raises():
+    # No NaN moment-vs-wick check from an empty trial loop.
+    cfg = ExperimentConfig(kind="ansatz-compare", seed=1, mc_trials=0, record_runtime=False)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_experiment(cfg)
+
+
 def test_cli_help_documents_columns():
     proc = subprocess.run([sys.executable, "-m", "momentflow", "--help"],
                           capture_output=True, text=True)

@@ -411,6 +411,7 @@ def test_fsp_profile_bounds():
     N, ell, window, sched = _fsp_setup()
     sp = cs.enumerate_space(N, 2)
     profile = rx.fsp_profile(sp, sched, (N // 2, N // 2), ell, window, 0.0, ell / N)
+    assert profile.schedule == f"short-range(ell={ell})"
     assert profile.max_at_or_beyond(4 * ell) <= 1e-6
     env = profile.binned_envelope()
     assert env[0][0] == 0 and 0.01 <= env[0][1] <= 3.0

@@ -173,6 +173,11 @@ def test_free_convolution_residual_grid():
     batched = spx.fixed_point_residual(prof, np.array(pts))
     assert batched.shape == (len(pts),)
     assert np.max(np.abs(batched - per_point)) <= 1e-15
+    # A scalar and an array take one path: both reject the lower half plane.
+    assert type(spx.fixed_point_residual(prof, pts[0])) is float
+    for z in (0.3 - 0.1j, np.array([0.3 - 0.1j]), np.array([0.3 + 0.1j, 0.3 - 0.1j])):
+        with pytest.raises(ValueError, match="eta >= 0"):
+            spx.fixed_point_residual(prof, z)
 
 
 def test_fixed_point_chunking_is_bitwise(monkeypatch):

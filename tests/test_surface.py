@@ -1,6 +1,7 @@
 """Public surface: every public function, class and method in the package has
 a caller in the package itself, the demos or the benchmark, and so does every
-parameter default of those functions and methods.
+parameter default of those functions and methods.  Every ExperimentConfig
+field is read by the package.
 
 An API or a knob that only its own tests use belongs with those tests.
 References are NAME tokens, so a name in a string or a comment does not
@@ -80,6 +81,24 @@ def defaulted_parameters(fn, method):
             yield p.arg, None
 
 
+def config_fields():
+    """Field names of harness.ExperimentConfig."""
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ExperimentConfig")
+    return [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)]
+
+
+def config_reads(src):
+    """Attribute names loaded through `cfg` anywhere, or through `self` inside
+    the ExperimentConfig class, in a Python source."""
+    tree = ast.parse(src)
+    scopes = [(tree, "cfg")] + [(n, "self") for n in ast.walk(tree)
+                               if isinstance(n, ast.ClassDef) and n.name == "ExperimentConfig"]
+    return {node.attr for scope, owner in scopes for node in ast.walk(scope)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == owner}
+
+
 def test_name_counts_skip_strings_and_comments():
     counts = name_counts([b'x = "flat_profile"  # flat_profile\ny = x\n'])
     assert counts["flat_profile"] == 0 and counts["x"] == 2
@@ -116,3 +135,18 @@ def test_every_public_keyword_is_set_by_a_caller():
                            for name, npos, keywords in calls):
                     unset.append(f"{qual}({param}=)")
     assert not unset, f"public parameter defaults no call outside tests sets: {unset}"
+
+
+def test_config_reads_skip_stores_and_other_objects():
+    src = ("cfg.a = 1\nx = cfg.b + y.c + self.d\n"
+           "class ExperimentConfig:\n    def f(self):\n        return self.e\n")
+    assert config_reads(src) == {"b", "e"}
+
+
+def test_every_config_field_is_read():
+    # A config knob that nothing reads changes nothing but the report's echo.
+    fields = config_fields()
+    reads = set().union(*(config_reads(p.read_bytes()) for p in modules()))
+    assert "kind" in fields and "record_runtime" in fields
+    unread = [f for f in fields if f not in reads]
+    assert not unread, f"ExperimentConfig fields no code in src/ reads: {unread}"
